@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import click
 import numpy as np
 
 from . import dataset, geometry, metrics, proposals, synth
-from .errors import DriveAreaError
+from .errors import DriveAreaError, IoFailure, OutputCollision
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +32,15 @@ _INPUT_ERRORS = DriveAreaError  # schema, geometry, and format problems: exit 2
 def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
+
+
+@contextmanager
+def _writing_outputs():
+    """Report a failed write of an output file as IoFailure, exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(IoFailure(f"cannot write output: {exc}"))
 
 
 def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
@@ -84,7 +94,7 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
         )
     else:
         filtered, report = dataset.filter_drivable(index)
-    with open(out, "wb") as fh:
+    with _writing_outputs(), open(out, "wb") as fh:
         written = dataset.write_normalized(filtered, fh)
     click.echo(
         json.dumps(
@@ -116,28 +126,36 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
         index = _load_index(labels, default_dims)
     except _INPUT_ERRORS as exc:
         _fail(exc)
-    out.mkdir(parents=True, exist_ok=True)
-    written = 0
+    # Plan every file first, so that a name collision writes nothing.
+    jobs: dict[str, tuple[dataset.ImageRecord, list[dataset.PolygonLabel]]] = {}
     for record in index.records:
         for class_id, class_name in sorted(dataset.CLASS_NAMES.items()):
             polys = [p for p in record.labels if p.class_id == class_id]
             if not polys:
                 continue
+            stem = f"{record.image_id.replace('/', '_')}.{class_name}"
+            if stem in jobs:
+                _fail(OutputCollision(
+                    f"image ids {jobs[stem][0].image_id!r} and {record.image_id!r} "
+                    f"both map to output file name {stem!r}"
+                ))
+            jobs[stem] = (record, polys)
+    with _writing_outputs():
+        out.mkdir(parents=True, exist_ok=True)
+        for stem, (record, polys) in jobs.items():
             bits = np.zeros((record.height, record.width), dtype=bool)
             for poly in polys:
                 bits |= geometry.rasterize_polygon(poly, record.width, record.height).bits
             mask = geometry.BitMask(bits)
-            safe_id = record.image_id.replace("/", "_")
             if fmt == "pgm":
-                with open(out / f"{safe_id}.{class_name}.pgm", "wb") as fh:
+                with open(out / f"{stem}.pgm", "wb") as fh:
                     geometry.write_pgm(mask, fh)
             else:
                 rle = geometry.rle_encode(mask)
                 payload = {"width": rle.width, "height": rle.height, "runs": list(rle.runs)}
-                with open(out / f"{safe_id}.{class_name}.rle.json", "w", encoding="utf-8") as fh:
+                with open(out / f"{stem}.rle.json", "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, separators=(",", ":"))
-            written += 1
-    click.echo(json.dumps({"written": written}, separators=(",", ":")))
+    click.echo(json.dumps({"written": len(jobs)}, separators=(",", ":")))
 
 
 @main.command("eval")
@@ -176,9 +194,10 @@ def cmd_eval(
     except _INPUT_ERRORS as exc:
         _fail(exc)
     when = datetime.now(timezone.utc).isoformat() if stamp else None
-    out.write_text(metrics.report_to_json(report, stamp=when), encoding="utf-8")
-    if csv_out is not None:
-        csv_out.write_text(metrics.report_to_csv(report), encoding="utf-8")
+    with _writing_outputs():
+        out.write_text(metrics.report_to_json(report, stamp=when), encoding="utf-8")
+        if csv_out is not None:
+            csv_out.write_text(metrics.report_to_csv(report), encoding="utf-8")
     click.echo(f"map={report.map!r} images={report.n_images} gt={report.n_gt}", err=True)
 
 

@@ -19,6 +19,10 @@ class IoFailure(DriveAreaError):
     """An underlying read or write failed."""
 
 
+class OutputCollision(DriveAreaError):
+    """Two distinct inputs would be written to the same output file."""
+
+
 class DegeneratePolygon(DriveAreaError):
     """Polygon has fewer than 3 vertices."""
 

@@ -31,10 +31,6 @@ __all__ = [
     "write_pgm",
 ]
 
-# Cap on rows*edges*cols processed per broadcast block in the rasterizer.
-_RASTER_BLOCK_CELLS = 1 << 22
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle as (left, top, width, height) in pixel units."""
@@ -165,6 +161,11 @@ def rasterize_polygon(poly, width: int, height: int) -> BitMask:
     counted when x > cx strictly. Vertices may lie outside the grid; the
     mask is the clipped intersection.
 
+    The scanline works per edge: each edge's rows come from a binary search
+    of the row centers, each crossing becomes the number of column centers
+    strictly left of it, and the sorted crossings of a row, taken in pairs,
+    are its inside spans. Time and memory are O(crossings + pixels).
+
     Args:
         poly: a PolygonLabel or any (V, 2) vertex sequence.
         width, height: grid size in pixels, both > 0.
@@ -172,39 +173,35 @@ def rasterize_polygon(poly, width: int, height: int) -> BitMask:
     if width <= 0 or height <= 0:
         raise ValueError(f"grid must be positive, got {width}x{height}")
     verts = _as_vertices(poly)
-    bits = np.zeros((height, width), dtype=bool)
-
     x1 = verts[:, 0]
     y1 = verts[:, 1]
     x2 = np.roll(x1, -1)
     y2 = np.roll(y1, -1)
 
-    # Rows/cols that can possibly be inside, with a safety margin; outside
-    # this window the even crossing parity of a closed loop gives "outside".
-    j_lo = max(0, int(math.floor(y1.min())) - 1)
-    j_hi = min(height - 1, int(math.ceil(y1.max())) + 1)
-    i_lo = max(0, int(math.floor(x1.min())) - 1)
-    i_hi = min(width - 1, int(math.ceil(x1.max())) + 1)
-    if j_lo > j_hi or i_lo > i_hi:
-        return BitMask(bits)
+    # Edge k is active on rows lo[k] <= j < hi[k], the rows whose center cy
+    # has min(y1, y2) <= cy < max(y1, y2): the same half-open test as above.
+    row_centers = np.arange(height, dtype=np.float64) + 0.5
+    lo = np.searchsorted(row_centers, np.minimum(y1, y2), side="left")
+    hi = np.searchsorted(row_centers, np.maximum(y1, y2), side="left")
+    counts = hi - lo
+    edge = np.repeat(np.arange(len(verts)), counts)
+    row = np.arange(edge.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    cy = row_centers[row]
+    x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xint = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
+    # A crossing toggles the pixels whose center is strictly left of it, so
+    # its column is the count of such centers. NaN (from overflow at huge
+    # coordinates) fails every `x > cx` test and toggles none.
+    col_centers = np.arange(width, dtype=np.float64) + 0.5
+    col = np.searchsorted(col_centers, np.fmax(xint, -np.inf), side="left")
 
-    centers_x = np.arange(i_lo, i_hi + 1, dtype=np.float64) + 0.5
-    n_edges = len(verts)
-    n_cols = centers_x.size
-    rows_per_block = max(1, _RASTER_BLOCK_CELLS // max(1, n_edges * n_cols))
-
-    for r0 in range(j_lo, j_hi + 1, rows_per_block):
-        r1 = min(r0 + rows_per_block, j_hi + 1)
-        cy = np.arange(r0, r1, dtype=np.float64)[:, None] + 0.5  # (R, 1)
-        active = (y1 <= cy) != (y2 <= cy)  # (R, E)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
-        xint = np.where(active, xint, -np.inf)
-        crossings = xint[:, :, None] > centers_x[None, None, :]  # (R, E, C)
-        odd = crossings.sum(axis=1, dtype=np.int64) & 1
-        bits[r0:r1, i_lo : i_hi + 1] = odd.astype(bool)
-
-    return BitMask(bits)
+    # Every row has an even number of crossings, so the sorted flat offsets
+    # alternate between span starts and span ends; a column of `width` ends
+    # its span at the start of the next row, where it belongs.
+    bounds = np.concatenate(([0], np.sort(row * width + col), [width * height]))
+    inside = np.arange(bounds.size - 1) % 2 == 1
+    return BitMask(np.repeat(inside, np.diff(bounds)).reshape(height, width))
 
 
 def mask_iou(a: BitMask, b: BitMask) -> float:

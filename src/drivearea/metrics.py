@@ -181,6 +181,13 @@ class PrCurve:
     n_gt: int
     tp_cumulative: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        # AP is integrated from the counts, so points without them would score 0.
+        if len(self.tp_cumulative) != len(self.points):
+            raise ValueError(
+                f"tp_cumulative has {len(self.tp_cumulative)} entries for {len(self.points)} points"
+            )
+
 
 def precision_recall(
     scores: Sequence[float], tp_flags: Sequence[bool], n_gt: int

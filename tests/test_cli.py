@@ -11,6 +11,7 @@ from drivearea.geometry import RleMask, rle_decode
 from drivearea.metrics import MatchConfig, read_predictions
 from drivearea.synth import SynthParams, generate_suite, oracle_map
 
+from conftest import RECT, bdd_entry, drivable_label
 from test_geometry import read_pgm
 
 
@@ -21,6 +22,13 @@ def runner():
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def unwritable(tmp_path):
+    """A regular file, so no output path below it can be created."""
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    return blocker
 
 
 class TestPreprocess:
@@ -65,6 +73,14 @@ class TestPreprocess:
         result = runner.invoke(main, ["preprocess", "--nonsense"])
         assert result.exit_code == 2
 
+    def test_unwritable_out_exits_2(self, runner, tmp_path, three_image_bdd):
+        src = tmp_path / "labels.json"
+        src.write_bytes(three_image_bdd)
+        result = invoke(runner, ["preprocess", "--labels", str(src),
+                                 "--out", str(unwritable(tmp_path) / "normalized.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write output")
+
 
 class TestRasterize:
     def _write_labels(self, tmp_path, three_image_bdd):
@@ -106,6 +122,26 @@ class TestRasterize:
         out = tmp_path / "masks"
         result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
         assert json.loads(result.stdout)["written"] == 0
+
+    def test_colliding_file_names_exit_2_before_writing(self, runner, tmp_path):
+        src = tmp_path / "labels.json"
+        src.write_text(json.dumps([
+            bdd_entry("x/a.jpg", labels=[drivable_label("direct", RECT)]),
+            bdd_entry("y.jpg", labels=[drivable_label("direct", RECT)]),
+            bdd_entry("x_a.jpg", labels=[drivable_label("direct", RECT)]),
+        ]))
+        out = tmp_path / "masks"
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: image ids 'x/a.jpg' and 'x_a.jpg'")
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path, three_image_bdd):
+        src = self._write_labels(tmp_path, three_image_bdd)
+        result = invoke(runner, ["rasterize", "--labels", str(src),
+                                 "--out", str(unwritable(tmp_path) / "masks")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write output")
 
 
 class TestSynth:
@@ -215,6 +251,13 @@ class TestEval:
                                       "--predictions", str(bad),
                                       "--out", str(tmp_path / "r.json")])
         assert result.exit_code == 2
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        labels, preds = self._synth_files(runner, tmp_path)
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(unwritable(tmp_path) / "report.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write output")
 
 
 class TestExitCodes:

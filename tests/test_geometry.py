@@ -37,6 +37,39 @@ def read_pgm(data: bytes):
     return pixels
 
 
+@st.composite
+def polygons_on_grids(draw):
+    """(vertices, width, height): odd grids and hostile vertices for the rasterizer.
+
+    Each vertex is a half-integer (a pixel center or pixel edge, possibly
+    just off-frame), a float around the frame, a value up to +-1e12, a
+    repeat of the previous vertex, or shares its y (a horizontal edge).
+    Hypothesis draws the sizes and a seed; numpy draws the vertices, which
+    keeps 150-vertex examples cheap to generate.
+    """
+    width = draw(st.integers(1, 40))
+    height = draw(st.integers(1, 40))
+    n = draw(st.integers(3, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extent = np.array([width, height])
+    verts = []
+    for kind in rng.integers(0, 5, size=n):
+        if kind == 0:
+            v = rng.integers(-4, 2 * extent + 5) / 2
+        elif kind == 1:
+            v = rng.uniform(-2.0, extent + 2.0)
+        elif kind == 2:
+            v = rng.choice([-1e12, 1e12], size=2) * rng.uniform(0.0, 1.0, size=2) ** 3
+        elif verts and kind == 3:
+            v = verts[-1]
+        elif verts:
+            v = (rng.uniform(-2.0, width + 2.0), verts[-1][1])
+        else:
+            v = rng.uniform(-2.0, extent + 2.0)
+        verts.append((float(v[0]), float(v[1])))
+    return verts, width, height
+
+
 class TestRasterize:
     def test_rectangle_pixel_count(self):
         mask = rasterize_polygon(RECT, 10, 10)
@@ -91,6 +124,13 @@ class TestRasterize:
     def test_scanline_equals_oracle_adversarial(self, poly):
         mask = rasterize_polygon(poly, 64, 64)
         assert np.array_equal(mask.bits, pixel_center_oracle(poly, 64, 64))
+
+    @given(polygons_on_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_scanline_equals_oracle_property(self, case):
+        poly, width, height = case
+        mask = rasterize_polygon(poly, width, height)
+        assert np.array_equal(mask.bits, pixel_center_oracle(poly, width, height))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_set_count_bounded_by_area_and_perimeter(self, seed):

@@ -197,6 +197,10 @@ class TestAveragePrecision:
         )
         assert extended == base
 
+    def test_points_without_counts_rejected(self):
+        with pytest.raises(ValueError, match="tp_cumulative"):
+            PrCurve(points=((0.5, 1.0), (1.0, 1.0)), n_gt=2)
+
     def test_duplicate_tp_never_pushes_recall_past_one(self):
         curve = precision_recall([0.9, 0.8], [True, False], n_gt=1)
         assert all(r <= 1.0 for r, _ in curve.points)
