@@ -6,7 +6,7 @@ Run: python3 demos/01_annotations.py
 import io
 import json
 
-from drivearea import filter_drivable, parse_labels, stratify_key, write_normalized
+from drivearea import filter_drivable, parse_labels, write_normalized
 
 # A miniature BDD-style label file: three frames, one without any drivable
 # region (it only carries a lane marking, which this tooling ignores).
@@ -52,7 +52,7 @@ raw = json.dumps(
 index = parse_labels(raw)  # frames default to 1280x720
 print(f"parsed {len(index)} records, {index.parse_warnings} parse warnings")
 for record in index:
-    key = stratify_key(record)
+    key = record.conditions
     print(f"  {record.image_id}: {len(record.labels)} drivable polygons, "
           f"conditions=({key.weather}, {key.scene}, {key.timeofday})")
 

@@ -19,7 +19,6 @@ from .dataset import (
     PolygonLabel,
     filter_drivable,
     parse_labels,
-    stratify_key,
     write_normalized,
 )
 from .errors import (

@@ -54,6 +54,13 @@ def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
     return dims
 
 
+def _parse_iou_threshold(_ctx, _param, value: float) -> float:
+    # Written as a negation so that nan is rejected too.
+    if not (0.0 < value <= 1.0):
+        raise click.BadParameter(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _parse_floats(_ctx, _param, value: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in value.split(","))
@@ -163,11 +170,10 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
 @click.option("--predictions", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True, help="Report JSON path.")
 @click.option("--csv", "csv_out", type=click.Path(dir_okay=False, path_type=Path), default=None, help="Optional flat CSV path.")
-@click.option("--iou-threshold", type=float, default=0.5, show_default=True)
+@click.option("--iou-threshold", type=float, default=0.5, callback=_parse_iou_threshold, show_default=True)
 @click.option("--iou-kind", type=click.Choice(["box", "mask"]), default="box", show_default=True)
 @click.option("--default-dims", default="1280x720", callback=_parse_dims, show_default=True)
 @click.option("--strict-orphans", is_flag=True, help="Count detections for unknown images as false positives.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker cap for per-image matching.")
 @click.option("--stamp", is_flag=True, help="Embed a generation timestamp in the report.")
 def cmd_eval(
     labels: Path,
@@ -178,7 +184,6 @@ def cmd_eval(
     iou_kind: str,
     default_dims: tuple[int, int],
     strict_orphans: bool,
-    threads: int,
     stamp: bool,
 ) -> None:
     """Score a predictions file against ground-truth labels."""
@@ -188,9 +193,7 @@ def cmd_eval(
         cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
         with open(predictions, "r", encoding="utf-8") as fh:
             dets = list(metrics.read_predictions(fh))
-        report = metrics.evaluate(
-            filtered, dets, cfg, strict_orphans=strict_orphans, threads=threads
-        )
+        report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
     except _INPUT_ERRORS as exc:
         _fail(exc)
     when = datetime.now(timezone.utc).isoformat() if stamp else None
@@ -244,10 +247,11 @@ def cmd_synth(
         index, dets = synth.generate_suite(params)
     except (ValueError, DriveAreaError) as exc:
         _fail(exc)
-    with open(out_labels, "wb") as fh:
-        dataset.write_normalized(index, fh)
-    with open(out_predictions, "w", encoding="utf-8") as fh:
-        metrics.write_predictions(dets, fh)
+    with _writing_outputs():
+        with open(out_labels, "wb") as fh:
+            dataset.write_normalized(index, fh)
+        with open(out_predictions, "w", encoding="utf-8") as fh:
+            metrics.write_predictions(dets, fh)
     click.echo(f"images={len(index)} detections={len(dets)}", err=True)
 
 

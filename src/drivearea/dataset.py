@@ -39,7 +39,6 @@ __all__ = [
     "normalize_tag",
     "parse_labels",
     "filter_drivable",
-    "stratify_key",
     "write_normalized",
     "DEFAULT_DIMS",
 ]
@@ -383,11 +382,6 @@ def filter_drivable(index: DatasetIndex) -> tuple[DatasetIndex, DropReport]:
         degenerate_ids=index.degenerate_ids,
     )
     return filtered, report
-
-
-def stratify_key(record: ImageRecord) -> ConditionKey:
-    """The normalized condition triple used for stratified reporting."""
-    return record.conditions
 
 
 def write_normalized(index: DatasetIndex, sink: IO[bytes]) -> int:

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -224,24 +223,15 @@ def average_precision(curve: PrCurve) -> float | None:
     """
     if curve.n_gt == 0:
         return None
-    m = len(curve.tp_cumulative)
-    if m == 0:
-        return 0.0
-    interp = [Fraction(0)] * m
+    tps = curve.tp_cumulative
+    total = Fraction(0)
     running = Fraction(0)
-    for k in range(m, 0, -1):
-        p = Fraction(curve.tp_cumulative[k - 1], k)
-        if p > running:
-            running = p
-        interp[k - 1] = running
-    ap = Fraction(0)
-    prev_tp = 0
-    for k in range(1, m + 1):
-        tp = curve.tp_cumulative[k - 1]
-        if tp > prev_tp:
-            ap += Fraction(tp - prev_tp, curve.n_gt) * interp[k - 1]
-            prev_tp = tp
-    return float(ap)
+    for k in range(len(tps), 0, -1):
+        running = max(running, Fraction(tps[k - 1], k))
+        prev_tp = tps[k - 2] if k > 1 else 0
+        if tps[k - 1] > prev_tp:
+            total += (tps[k - 1] - prev_tp) * running
+    return float(total / curve.n_gt)
 
 
 def mean_ap(per_class: Mapping[int, float | None]) -> float:
@@ -275,114 +265,85 @@ class EvalReport:
     strata: Mapping[str, Mapping[str, StratumResult]]
 
 
-def _class_sweep(
-    entries: Mapping[int, list[tuple[float, bool]]], n_gt: Mapping[int, int]
-) -> dict[int, float | None]:
-    """Per-class AP from (score, tp) lists already in global input order."""
-    per_class: dict[int, float | None] = {}
-    for cls in sorted(CLASS_NAMES):
-        if n_gt.get(cls, 0) == 0:
-            per_class[cls] = None
-            continue
-        scores = [s for s, _ in entries.get(cls, [])]
-        flags = [t for _, t in entries.get(cls, [])]
-        per_class[cls] = average_precision(precision_recall(scores, flags, n_gt[cls]))
-    return per_class
-
-
 def evaluate(
     index: DatasetIndex,
     dets: Sequence[Detection],
     cfg: MatchConfig = MatchConfig(),
     *,
     strict_orphans: bool = False,
-    threads: int = 1,
 ) -> EvalReport:
     """Match, sweep, and stratify: the full evaluation pipeline.
 
     Detections whose image_id is not in the index are warned about and
     dropped, or counted as false positives of their class when
     ``strict_orphans`` is set. Stratified results re-rank detections within
-    each condition stratum. Matching is independent per image and can run
-    on up to ``threads`` workers; results do not depend on thread count.
+    each condition stratum.
     """
-    by_image: dict[str, list[int]] = {}
+    records = index.records
+    row_of = {r.image_id: row for row, r in enumerate(records)}
+    dets_of: list[list[int]] = [[] for _ in records]
+    orphans: list[int] = []
     for i, det in enumerate(dets):
-        by_image.setdefault(det.image_id, []).append(i)
-    known = {r.image_id for r in index.records}
-    orphans = [i for i, det in enumerate(dets) if det.image_id not in known]
+        row = row_of.get(det.image_id)
+        if row is None:
+            orphans.append(i)
+        else:
+            dets_of[row].append(i)
     if orphans and not strict_orphans:
         log.warning("dropping %d detections for images not in the index", len(orphans))
 
-    records = index.records
-
-    def _match(record: ImageRecord) -> MatchResult:
-        idxs = by_image.get(record.image_id, [])
-        return match_detections([dets[i] for i in idxs], record, cfg)
-
-    if threads > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_match, records))
-    else:
-        results = [_match(r) for r in records]
-
     det_is_tp = [False] * len(dets)
-    for record, result in zip(records, results):
-        for local, i in enumerate(by_image.get(record.image_id, [])):
-            det_is_tp[i] = result.det_is_tp[local]
+    for record, idxs in zip(records, dets_of):
+        result = match_detections([dets[i] for i in idxs], record, cfg)
+        for i, tp in zip(idxs, result.det_is_tp):
+            det_is_tp[i] = tp
 
-    def _collect(
-        image_ids: set[str], include_orphans: bool
-    ) -> tuple[dict[int, list[tuple[float, bool]]], dict[int, int]]:
-        entries: dict[int, list[tuple[float, bool]]] = {c: [] for c in sorted(CLASS_NAMES)}
-        for i, det in enumerate(dets):
-            if det.image_id in image_ids:
-                entries[det.class_id].append((det.score, det_is_tp[i]))
-            elif include_orphans and det.image_id not in known:
-                entries[det.class_id].append((det.score, False))
-        n_gt = {c: 0 for c in sorted(CLASS_NAMES)}
-        for record in records:
-            if record.image_id in image_ids:
-                for label in record.labels:
-                    n_gt[label.class_id] += 1
-        return entries, n_gt
+    def _sweep(rows: Sequence[int], extra: Sequence[int] = ()) -> StratumResult:
+        """Per-class AP over the detections of ``rows`` plus ``extra``.
 
-    all_ids = {r.image_id for r in records}
-    entries, n_gt = _collect(all_ids, include_orphans=strict_orphans)
-    total_gt = sum(n_gt.values())
-    if total_gt == 0:
+        Detections are put back in input order, so score ties rank as in
+        the input.
+        """
+        picked = sorted([*extra, *(i for row in rows for i in dets_of[row])])
+        n_gt = {c: 0 for c in CLASS_NAMES}
+        for row in rows:
+            for label in records[row].labels:
+                n_gt[label.class_id] += 1
+        per_class: dict[int, float | None] = {}
+        for cls in sorted(CLASS_NAMES):
+            mine = [i for i in picked if dets[i].class_id == cls]
+            curve = precision_recall(
+                [dets[i].score for i in mine], [det_is_tp[i] for i in mine], n_gt[cls]
+            )
+            per_class[cls] = average_precision(curve)
+        defined = [v for v in per_class.values() if v is not None]
+        return StratumResult(
+            map=(sum(defined) / len(defined)) if defined else None,
+            n_images=len(rows),
+            n_gt=sum(n_gt.values()),
+            per_class_ap=per_class,
+        )
+
+    overall = _sweep(range(len(records)), orphans if strict_orphans else ())
+    if overall.n_gt == 0:
         raise NoGroundTruth("index has no labeled records to evaluate against")
-    per_class = _class_sweep(entries, n_gt)
-    overall_map = mean_ap(per_class)
 
     strata: dict[str, dict[str, StratumResult]] = {}
     for axis in CONDITION_AXES:
-        by_tag: dict[str, list[ImageRecord]] = {}
-        for record in records:
-            by_tag.setdefault(record.conditions.axis(axis), []).append(record)
-        axis_results: dict[str, StratumResult] = {}
-        for tag in sorted(by_tag):
-            tag_ids = {r.image_id for r in by_tag[tag]}
-            tag_entries, tag_gt = _collect(tag_ids, include_orphans=False)
-            tag_per_class = _class_sweep(tag_entries, tag_gt)
-            defined = [v for v in tag_per_class.values() if v is not None]
-            axis_results[tag] = StratumResult(
-                map=(sum(defined) / len(defined)) if defined else None,
-                n_images=len(by_tag[tag]),
-                n_gt=sum(tag_gt.values()),
-                per_class_ap=tag_per_class,
-            )
-        strata[axis] = axis_results
+        by_tag: dict[str, list[int]] = {}
+        for row, record in enumerate(records):
+            by_tag.setdefault(record.conditions.axis(axis), []).append(row)
+        strata[axis] = {tag: _sweep(by_tag[tag]) for tag in sorted(by_tag)}
 
     return EvalReport(
         config=cfg,
         strict_orphans=strict_orphans,
         n_images=len(records),
-        n_gt=total_gt,
+        n_gt=overall.n_gt,
         n_detections=len(dets),
         orphan_detections=len(orphans),
-        per_class_ap=per_class,
-        map=overall_map,
+        per_class_ap=overall.per_class_ap,
+        map=overall.map,
         strata=strata,
     )
 

@@ -176,6 +176,15 @@ class TestSynth:
         assert preds.read_text() == ""
         assert len(parse_labels(labels.read_bytes())) == 0
 
+    @pytest.mark.parametrize("which", ["--out-labels", "--out-predictions"])
+    def test_unwritable_out_exits_2(self, runner, tmp_path, which):
+        args = ["synth", "--n-images", "1", "--out-labels", str(tmp_path / "gt.json"),
+                "--out-predictions", str(tmp_path / "preds.jsonl")]
+        args[args.index(which) + 1] = str(unwritable(tmp_path) / "x.json")
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write output")
+
 
 class TestEval:
     def _synth_files(self, runner, tmp_path, corrupt=False):
@@ -227,14 +236,15 @@ class TestEval:
                         "--out", str(out), "--stamp"])
         assert "generated_at" in json.loads(out.read_text())
 
-    def test_threads_flag(self, runner, tmp_path):
-        labels, preds = self._synth_files(runner, tmp_path, corrupt=True)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
-                        "--out", str(a)])
-        invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
-                        "--out", str(b), "--threads", "4"])
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("threshold", ["0", "1.5", "nan"])
+    def test_iou_threshold_out_of_range_exits_2(self, runner, tmp_path, threshold):
+        labels, preds = self._synth_files(runner, tmp_path)
+        out = tmp_path / "report.json"
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(out), "--iou-threshold", threshold])
+        assert result.exit_code == 2
+        assert "Invalid value for '--iou-threshold'" in result.stderr
+        assert not out.exists()
 
     def test_missing_predictions_exits_2(self, runner, tmp_path):
         labels, _ = self._synth_files(runner, tmp_path)

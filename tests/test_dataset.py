@@ -17,7 +17,6 @@ from drivearea.dataset import (
     filter_drivable,
     normalize_tag,
     parse_labels,
-    stratify_key,
     write_normalized,
 )
 from drivearea.errors import IoFailure, MalformedInput, SchemaViolation
@@ -141,12 +140,12 @@ class TestStratifyKey:
     def test_normalized_triple(self, three_image_bdd):
         index = parse_labels(three_image_bdd)
         rec = {r.image_id: r for r in index}["img-a.jpg"]
-        assert stratify_key(rec) == ConditionKey("rainy", "city-street", "night")
+        assert rec.conditions == ConditionKey("rainy", "city-street", "night")
 
     def test_absent_attributes(self, three_image_bdd):
         index = parse_labels(three_image_bdd)
         rec = {r.image_id: r for r in index}["img-c.jpg"]
-        assert stratify_key(rec) == ConditionKey("undefined", "undefined", "undefined")
+        assert rec.conditions == ConditionKey("undefined", "undefined", "undefined")
 
 
 def _record(i, n_labels=1):
@@ -235,13 +234,13 @@ class TestWriteNormalized:
         index = parse_labels(three_image_bdd)
         by_key: dict[ConditionKey, int] = {}
         for rec in index:
-            key = stratify_key(rec)
+            key = rec.conditions
             by_key[key] = by_key.get(key, 0) + 1
         assert sum(by_key.values()) == len(index)
         for axis in ("weather", "scene", "timeofday"):
             counts: dict[str, int] = {}
             for rec in index:
-                tag = stratify_key(rec).axis(axis)
+                tag = rec.conditions.axis(axis)
                 counts[tag] = counts.get(tag, 0) + 1
             assert sum(counts.values()) == len(index)
 

@@ -29,6 +29,7 @@ from drivearea.metrics import (
     report_to_json,
     write_predictions,
 )
+from drivearea.synth import SynthParams, generate_suite, oracle_map
 
 
 def rect_poly(x, y, w, h):
@@ -312,12 +313,52 @@ class TestEvaluate:
         with pytest.raises(NoGroundTruth):
             evaluate(index, [], MatchConfig())
 
-    def test_threads_do_not_change_result(self):
-        index, dets = _suite_with_conditions()
-        a = evaluate(index, dets, MatchConfig(), threads=1)
-        b = evaluate(index, dets, MatchConfig(), threads=4)
-        assert a == b
-        assert report_to_json(a) == report_to_json(b)
+    @pytest.mark.parametrize("strict_orphans", [False, True])
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_every_stratum_matches_oracle(self, seed, kind, strict_orphans):
+        params = SynthParams(seed=seed, n_images=24, image_size=(96, 64), jitter=1.5,
+                             drop_rate=0.2, fp_rate=0.5, score_noise=0.1)
+        index, dets = generate_suite(params)
+        # An unlabeled frame whose "undefined" tags form strata without ground
+        # truth, a false positive on it, and two orphans that only the overall
+        # result may count.
+        blank = ImageRecord("blank", 96, 64)
+        index = DatasetIndex(index.records + (blank,))
+        empty = RleMask(96, 64, (96 * 64,))
+        dets = dets + [
+            Detection("ghost", DIRECT, 0.95, empty),
+            Detection("blank", ALTERNATIVE, 0.9, rle_encode(
+                rasterize_polygon(PolygonLabel(ALTERNATIVE, rect_poly(4, 4, 20, 20)), 96, 64))),
+            Detection("ghost", ALTERNATIVE, 0.5, empty),
+        ]
+        cfg = MatchConfig(iou_kind=kind)
+        report = evaluate(index, dets, cfg, strict_orphans=strict_orphans)
+        want = oracle_map(index, dets, cfg, strict_orphans=strict_orphans)
+        assert abs(report.map - want) <= 1e-9
+        for axis, axis_results in report.strata.items():
+            assert set(axis_results) == {r.conditions.axis(axis) for r in index.records}
+            for tag, stratum in axis_results.items():
+                records = tuple(r for r in index.records if r.conditions.axis(axis) == tag)
+                ids = {r.image_id for r in records}
+                sub = DatasetIndex(records)
+                sub_dets = [d for d in dets if d.image_id in ids]
+                try:
+                    want = oracle_map(sub, sub_dets, cfg, strict_orphans=strict_orphans)
+                except NoGroundTruth:
+                    assert stratum.map is None, f"{axis}={tag}"
+                else:
+                    assert abs(stratum.map - want) <= 1e-9, f"{axis}={tag}"
+        assert all(report.strata[a]["undefined"].map is None for a in report.strata)
+
+    def test_score_ties_rank_in_input_order(self):
+        # Records are ordered by image_id; the tied detections are not.
+        index = DatasetIndex((record_with_rects("a", [(0, 0, 10, 10)]),
+                              record_with_rects("b", [(0, 0, 10, 10)])))
+        dets = [box_det("b", 30, 30, 10, 10, 0.5), box_det("a", 0, 0, 10, 10, 0.5)]
+        report = evaluate(index, dets, MatchConfig())
+        assert report.per_class_ap[DIRECT] == 0.25  # FP ranks first: recall 1/2 at precision 1/2
+        assert report.strata["weather"]["undefined"].per_class_ap[DIRECT] == 0.25
 
     def test_determinism_byte_identical(self):
         index, dets = _suite_with_conditions()
