@@ -36,12 +36,12 @@ from .errors import (
     SchemaViolation,
 )
 from .geometry import (
-    BitMask,
     Box,
     RleMask,
     box_iou,
     mask_iou,
     mask_to_bbox,
+    mask_union,
     polygon_area,
     polygon_perimeter,
     rasterize_polygon,

@@ -43,6 +43,15 @@ def _writing_outputs():
         _fail(IoFailure(f"cannot write output: {exc}"))
 
 
+def _refuse_collisions(inputs: dict[str, Path], outputs: dict[str, Path | None]) -> None:
+    """Fail with OutputCollision, before anything is written, when an output
+    resolves to an input file or to another output."""
+    seen = {path.resolve(): name for name, path in inputs.items()}
+    for name, path in outputs.items():
+        if path is not None and seen.setdefault(path.resolve(), name) != name:
+            _fail(OutputCollision(f"{name} {path} is the same file as {seen[path.resolve()]}"))
+
+
 def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
     try:
         w, h = value.lower().split("x")
@@ -91,6 +100,7 @@ def _load_index(path: Path, default_dims: tuple[int, int]) -> dataset.DatasetInd
 @click.option("--keep-empty", is_flag=True, help="Keep images without drivable regions.")
 def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empty: bool) -> None:
     """Normalize an annotation file, dropping unlabeled images."""
+    _refuse_collisions({"--labels": labels}, {"--out": out})
     try:
         index = _load_index(labels, default_dims)
     except _INPUT_ERRORS as exc:
@@ -150,16 +160,14 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
     with _writing_outputs():
         out.mkdir(parents=True, exist_ok=True)
         for stem, (record, polys) in jobs.items():
-            bits = np.zeros((record.height, record.width), dtype=bool)
-            for poly in polys:
-                bits |= geometry.rasterize_polygon(poly, record.width, record.height).bits
-            mask = geometry.BitMask(bits)
+            mask = geometry.mask_union(
+                [geometry.rasterize_polygon(p, record.width, record.height) for p in polys]
+            )
             if fmt == "pgm":
                 with open(out / f"{stem}.pgm", "wb") as fh:
                     geometry.write_pgm(mask, fh)
             else:
-                rle = geometry.rle_encode(mask)
-                payload = {"width": rle.width, "height": rle.height, "runs": list(rle.runs)}
+                payload = {"width": mask.width, "height": mask.height, "runs": list(mask.runs)}
                 with open(out / f"{stem}.rle.json", "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, separators=(",", ":"))
     click.echo(json.dumps({"written": len(jobs)}, separators=(",", ":")))
@@ -187,6 +195,9 @@ def cmd_eval(
     stamp: bool,
 ) -> None:
     """Score a predictions file against ground-truth labels."""
+    _refuse_collisions(
+        {"--labels": labels, "--predictions": predictions}, {"--out": out, "--csv": csv_out}
+    )
     try:
         index = _load_index(labels, default_dims)
         filtered, _ = dataset.filter_drivable(index)
@@ -228,6 +239,7 @@ def cmd_synth(
     out_predictions: Path,
 ) -> None:
     """Write a synthetic annotation file plus matching corrupted predictions."""
+    _refuse_collisions({}, {"--out-labels": out_labels, "--out-predictions": out_predictions})
     try:
         lo, _, hi = lanes.partition(":")
         lane_range = (int(lo), int(hi or lo))

@@ -153,7 +153,6 @@ class DatasetIndex:
     """
 
     records: tuple[ImageRecord, ...]
-    source_split: str = "other"
     parse_warnings: int = 0
     degenerate_ids: tuple[str, ...] = ()
 
@@ -175,7 +174,7 @@ class DatasetIndex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DatasetIndex):
             return NotImplemented
-        return self.records == other.records and self.source_split == other.source_split
+        return self.records == other.records
 
 
 @dataclass(frozen=True)
@@ -208,6 +207,13 @@ def _load_json(raw: bytes | IO[bytes]) -> Any:
         raise MalformedInput(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _integer(value: Any) -> int:
+    """``int(value)``, refusing the bools and fractional numbers it would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _clean_vertices(raw_vertices: Any) -> tuple[tuple[float, float], ...] | None:
@@ -293,7 +299,7 @@ def _parse_normalized_record(i: int, rec: Any) -> ImageRecord:
     if not isinstance(image_id, str) or not image_id:
         raise SchemaViolation(f"record {i}: image_id must be a non-empty string")
     try:
-        width, height = int(rec["width"]), int(rec["height"])
+        width, height = _integer(rec["width"]), _integer(rec["height"])
     except (TypeError, ValueError) as exc:
         raise SchemaViolation(f"record {i}: width/height must be integers") from exc
     if width <= 0 or height <= 0:
@@ -301,25 +307,22 @@ def _parse_normalized_record(i: int, rec: Any) -> ImageRecord:
 
     labels: list[PolygonLabel] = []
     for j, poly in enumerate(rec.get("polygons") or ()):
-        if not isinstance(poly, Mapping) or poly.get("class_id") not in CLASS_NAMES:
+        class_id = poly.get("class_id") if isinstance(poly, Mapping) else None
+        # Not bool (True == 1), and nothing unhashable reaches the lookup.
+        if type(class_id) not in (int, float) or class_id not in CLASS_NAMES:
             raise SchemaViolation(f"record {i}, polygon {j}: class_id must be 1 or 2")
         verts = _clean_vertices(poly.get("vertices"))
         if verts is None:
             raise SchemaViolation(f"record {i}, polygon {j}: bad vertices")
-        labels.append(PolygonLabel(class_id=int(poly["class_id"]), vertices=verts))
+        labels.append(PolygonLabel(class_id=int(class_id), vertices=verts))
 
-    conditions = ConditionKey(
-        weather=normalize_tag(rec.get("weather"), WEATHER_TAGS),
-        scene=normalize_tag(rec.get("scene"), SCENE_TAGS),
-        timeofday=normalize_tag(rec.get("timeofday"), TIMEOFDAY_TAGS),
-    )
+    conditions = ConditionKey.from_attributes(rec)
     return ImageRecord(image_id, width, height, conditions, tuple(labels))
 
 
 def parse_labels(
     raw: bytes | IO[bytes],
     default_dims: tuple[int, int] = DEFAULT_DIMS,
-    source_split: str = "other",
 ) -> DatasetIndex:
     """Parse an annotation file (raw BDD or normalized) into a DatasetIndex.
 
@@ -354,7 +357,6 @@ def parse_labels(
 
     return DatasetIndex(
         records=tuple(records),
-        source_split=source_split,
         parse_warnings=warnings,
         degenerate_ids=tuple(sorted(degenerate)),
     )
@@ -377,7 +379,6 @@ def filter_drivable(index: DatasetIndex) -> tuple[DatasetIndex, DropReport]:
     )
     filtered = DatasetIndex(
         records=kept,
-        source_split=index.source_split,
         parse_warnings=index.parse_warnings,
         degenerate_ids=index.degenerate_ids,
     )

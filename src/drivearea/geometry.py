@@ -1,16 +1,18 @@
 """Mask and box geometry: rasterization, run-length coding, and IoU.
 
-Masks are dense binary grids over pixel cells. A pixel (col i, row j) is
-identified with its center point (i + 0.5, j + 0.5) in continuous image
-coordinates, and rasterization asks whether that center lies inside the
-polygon under the even-odd rule.
+Masks are binary grids over pixel cells, held as row-major runs
+(:class:`RleMask`). A pixel (col i, row j) is identified with its center
+point (i + 0.5, j + 0.5) in continuous image coordinates, and rasterization
+asks whether that center lies inside the polygon under the even-odd rule.
+Dense ``(height, width)`` bool arrays appear only at the edges:
+:func:`rle_encode`, :func:`rle_decode` and :func:`write_pgm`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -18,10 +20,10 @@ from .errors import DegeneratePolygon, DimensionMismatch, InvalidRle
 
 __all__ = [
     "Box",
-    "BitMask",
     "RleMask",
     "rasterize_polygon",
     "mask_iou",
+    "mask_union",
     "box_iou",
     "mask_to_bbox",
     "rle_encode",
@@ -69,52 +71,6 @@ class Box:
         return self.w * self.h
 
 
-class BitMask:
-    """Dense binary mask, row-major, shape (height, width).
-
-    The wrapped array is treated as immutable after construction.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: np.ndarray):
-        arr = np.asarray(bits)
-        if arr.ndim != 2:
-            raise ValueError(f"BitMask expects a 2-D array, got shape {arr.shape}")
-        object.__setattr__(self, "bits", np.ascontiguousarray(arr, dtype=bool))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitMask is immutable")
-
-    @classmethod
-    def zeros(cls, width: int, height: int) -> "BitMask":
-        return cls(np.zeros((height, width), dtype=bool))
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def count(self) -> int:
-        """Number of set pixels."""
-        return int(self.bits.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMask):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self):
-        raise TypeError("BitMask is not hashable")
-
-    def __repr__(self) -> str:
-        return f"BitMask(width={self.width}, height={self.height}, count={self.count})"
-
-
 @dataclass(frozen=True)
 class RleMask:
     """Run-length encoded mask: alternating run counts, zeros first, row-major."""
@@ -124,18 +80,42 @@ class RleMask:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(int(r) for r in self.runs))
+        object.__setattr__(self, "runs", tuple(map(int, self.runs)))
         if self.width < 0 or self.height < 0:
             raise InvalidRle(f"negative mask dimensions {self.width}x{self.height}")
-        if any(r < 0 for r in self.runs):
+        if min(self.runs, default=0) < 0:
             raise InvalidRle("run lengths must be non-negative")
-        if any(r == 0 for r in self.runs[1:]):
+        if 0 in self.runs[1:]:
             raise InvalidRle("only the leading run may be zero")
         total = sum(self.runs)
         if total != self.width * self.height:
             raise InvalidRle(
                 f"runs sum to {total}, expected width*height = {self.width * self.height}"
             )
+
+    @property
+    def count(self) -> int:
+        """Number of set pixels."""
+        return sum(self.runs[1::2])
+
+
+def _from_toggles(width: int, height: int, offsets: np.ndarray) -> RleMask:
+    """The mask that starts clear and flips at each flat offset.
+
+    Offsets repeated an even number of times cancel, and an offset of
+    ``width * height`` flips nothing, so the runs come out canonical.
+    """
+    total = width * height
+    flips, times = np.unique(offsets, return_counts=True)
+    flips = flips[(times % 2 == 1) & (flips < total)]
+    runs = np.diff(np.concatenate(([0], flips, [total]))).tolist() if total else ()
+    return RleMask(width, height, tuple(runs))
+
+
+def _spans(m: RleMask) -> tuple[np.ndarray, np.ndarray]:
+    """Flat [start, end) offsets of the set runs, in order."""
+    bounds = np.cumsum(np.asarray(m.runs, dtype=np.int64))
+    return bounds[0:-1:2], bounds[1::2]
 
 
 def _as_vertices(poly) -> np.ndarray:
@@ -148,8 +128,17 @@ def _as_vertices(poly) -> np.ndarray:
     return arr
 
 
-def rasterize_polygon(poly, width: int, height: int) -> BitMask:
-    """Rasterize a polygon into a width x height bitmap.
+def _centers_below(v: np.ndarray, n: int) -> np.ndarray:
+    """How many of the pixel centers 0.5, 1.5, ..., n - 0.5 lie strictly below v.
+
+    Exact for |v| < 2**52, where v - 0.5 is a float. NaN (from overflow at
+    huge coordinates) fails every `v > c` test and counts none.
+    """
+    return np.clip(np.ceil(np.fmax(v, -np.inf) - 0.5), 0, n).astype(np.int64)
+
+
+def rasterize_polygon(poly, width: int, height: int) -> RleMask:
+    """Rasterize a polygon into a width x height mask.
 
     A pixel is set iff its center (i + 0.5, j + 0.5) is inside the polygon
     under the even-odd rule: the number of polygon edges crossed by the
@@ -164,7 +153,8 @@ def rasterize_polygon(poly, width: int, height: int) -> BitMask:
     The scanline works per edge: each edge's rows come from a binary search
     of the row centers, each crossing becomes the number of column centers
     strictly left of it, and the sorted crossings of a row, taken in pairs,
-    are its inside spans. Time and memory are O(crossings + pixels).
+    are its inside spans. Time and memory are O(vertices + crossings),
+    whatever the grid size.
 
     Args:
         poly: a PolygonLabel or any (V, 2) vertex sequence.
@@ -180,41 +170,54 @@ def rasterize_polygon(poly, width: int, height: int) -> BitMask:
 
     # Edge k is active on rows lo[k] <= j < hi[k], the rows whose center cy
     # has min(y1, y2) <= cy < max(y1, y2): the same half-open test as above.
-    row_centers = np.arange(height, dtype=np.float64) + 0.5
-    lo = np.searchsorted(row_centers, np.minimum(y1, y2), side="left")
-    hi = np.searchsorted(row_centers, np.maximum(y1, y2), side="left")
+    lo = _centers_below(np.minimum(y1, y2), height)
+    hi = _centers_below(np.maximum(y1, y2), height)
     counts = hi - lo
     edge = np.repeat(np.arange(len(verts)), counts)
     row = np.arange(edge.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    cy = row_centers[row]
+    cy = row + 0.5
     x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
     with np.errstate(over="ignore", invalid="ignore"):
         xint = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
     # A crossing toggles the pixels whose center is strictly left of it, so
-    # its column is the count of such centers. NaN (from overflow at huge
-    # coordinates) fails every `x > cx` test and toggles none.
-    col_centers = np.arange(width, dtype=np.float64) + 0.5
-    col = np.searchsorted(col_centers, np.fmax(xint, -np.inf), side="left")
+    # its column is the count of such centers.
+    col = _centers_below(xint, width)
 
-    # Every row has an even number of crossings, so the sorted flat offsets
-    # alternate between span starts and span ends; a column of `width` ends
-    # its span at the start of the next row, where it belongs.
-    bounds = np.concatenate(([0], np.sort(row * width + col), [width * height]))
-    inside = np.arange(bounds.size - 1) % 2 == 1
-    return BitMask(np.repeat(inside, np.diff(bounds)).reshape(height, width))
+    # Every row has an even number of crossings, so each crossing flips the
+    # pixels from its flat offset on; a column of `width` flips from the
+    # start of the next row, where its span ends.
+    return _from_toggles(width, height, row * width + col)
 
 
-def mask_iou(a: BitMask, b: BitMask) -> float:
-    """Intersection over union of two same-sized masks; 0 when both empty."""
-    if (a.width, a.height) != (b.width, b.height):
-        raise DimensionMismatch(
-            f"mask sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    inter = int(np.logical_and(a.bits, b.bits).sum())
-    union = int(np.logical_or(a.bits, b.bits).sum())
+def mask_iou(a: RleMask, b: RleMask) -> float:
+    """Intersection over union of two same-sized masks; 0 when both empty.
+
+    The union comes from merging the runs, as in pycocotools' ``rleIou``,
+    so no grid is built; the intersection is |a| + |b| - |a or b|.
+    """
+    union = mask_union([a, b]).count
     if union == 0:
         return 0.0
-    return inter / union
+    return (a.count + b.count - union) / union
+
+
+def mask_union(masks: Sequence[RleMask]) -> RleMask:
+    """Pixelwise OR of one or more same-sized masks, merged run by run."""
+    if not masks:
+        raise ValueError("mask_union needs at least one mask")
+    width, height = masks[0].width, masks[0].height
+    for m in masks:
+        if (m.width, m.height) != (width, height):
+            raise DimensionMismatch(f"mask sizes differ: {width}x{height} vs {m.width}x{m.height}")
+    spans = [_spans(m) for m in masks]
+    starts = np.sort(np.concatenate([s for s, _ in spans]))
+    ends = np.sort(np.concatenate([e for _, e in spans]))
+    # A start opens the union where every earlier span has ended before it;
+    # an end closes it where no other span is open or starts there.
+    n = np.arange(starts.size)
+    opens = starts[np.searchsorted(ends, starts, side="left") == n]
+    closes = ends[np.searchsorted(starts, ends, side="right") == n + 1]
+    return _from_toggles(width, height, np.concatenate((opens, closes)))
 
 
 def box_iou(a: Box, b: Box) -> float:
@@ -231,38 +234,33 @@ def box_iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def mask_to_bbox(m: BitMask) -> Box | None:
+def mask_to_bbox(m: RleMask) -> Box | None:
     """Tightest pixel-aligned box covering all set pixels; None when empty."""
-    rows = np.flatnonzero(m.bits.any(axis=1))
-    if rows.size == 0:
+    starts, ends = _spans(m)
+    if starts.size == 0:
         return None
-    cols = np.flatnonzero(m.bits.any(axis=0))
-    r0, r1 = int(rows[0]), int(rows[-1])
-    c0, c1 = int(cols[0]), int(cols[-1])
+    last = ends - 1
+    # A run that wraps onto a later row touches both edge columns.
+    wraps = starts // m.width != last // m.width
+    r0, r1 = int(starts[0] // m.width), int(last[-1] // m.width)
+    c0 = int(np.where(wraps, 0, starts % m.width).min())
+    c1 = int(np.where(wraps, m.width - 1, last % m.width).max())
     return Box(float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1))
 
 
-def rle_encode(m: BitMask) -> RleMask:
-    """Encode a mask as alternating run lengths, zeros first, row-major."""
-    flat = m.bits.ravel()
-    if flat.size == 0:
-        return RleMask(m.width, m.height, ())
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs.insert(0, 0)
-    return RleMask(m.width, m.height, tuple(int(r) for r in runs))
+def rle_encode(bits: np.ndarray) -> RleMask:
+    """Encode a dense (height, width) bool array as runs, zeros first, row-major."""
+    arr = np.asarray(bits, dtype=bool)
+    if arr.ndim != 2:
+        raise ValueError(f"rle_encode expects a 2-D array, got shape {arr.shape}")
+    height, width = arr.shape
+    return _from_toggles(width, height, np.flatnonzero(np.diff(arr.ravel(), prepend=False)))
 
 
-def rle_decode(r: RleMask) -> BitMask:
-    """Inverse of :func:`rle_encode`, bit for bit."""
-    total = r.width * r.height
-    if total == 0:
-        return BitMask(np.zeros((r.height, r.width), dtype=bool))
+def rle_decode(r: RleMask) -> np.ndarray:
+    """Inverse of :func:`rle_encode`: the dense (height, width) bool array."""
     values = np.arange(len(r.runs)) % 2 == 1
-    flat = np.repeat(values, r.runs)
-    return BitMask(flat.reshape(r.height, r.width))
+    return np.repeat(values, r.runs).reshape(r.height, r.width)
 
 
 def polygon_area(poly) -> float:
@@ -281,8 +279,8 @@ def polygon_perimeter(poly) -> float:
     return float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
 
 
-def write_pgm(m: BitMask, sink: BinaryIO) -> None:
+def write_pgm(m: RleMask, sink: BinaryIO) -> None:
     """Write a mask as binary PGM (P5, maxval 255, set pixels = 255)."""
     header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
     sink.write(header)
-    sink.write((m.bits.astype(np.uint8) * 255).tobytes())
+    sink.write((rle_decode(m).astype(np.uint8) * 255).tobytes())

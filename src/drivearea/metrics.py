@@ -17,23 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
+from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord, _integer
 from .errors import (
     GeometryMismatch,
     MalformedInput,
     NoGroundTruth,
     SchemaViolation,
 )
-from .geometry import (
-    BitMask,
-    Box,
-    RleMask,
-    box_iou,
-    mask_iou,
-    mask_to_bbox,
-    rasterize_polygon,
-    rle_decode,
-)
+from .geometry import Box, RleMask, box_iou, mask_iou, mask_to_bbox, rasterize_polygon
 
 __all__ = [
     "Detection",
@@ -96,7 +87,7 @@ class MatchResult:
     gt_matched: tuple[bool, ...]
 
 
-def _det_geometry(det: Detection, record: ImageRecord, kind: str) -> Box | BitMask | None:
+def _det_geometry(det: Detection, record: ImageRecord, kind: str) -> Box | RleMask | None:
     """Detection geometry in the requested kind; None for an empty mask."""
     if isinstance(det.geometry, RleMask):
         rle = det.geometry
@@ -105,8 +96,7 @@ def _det_geometry(det: Detection, record: ImageRecord, kind: str) -> Box | BitMa
                 f"detection mask {rle.width}x{rle.height} does not match "
                 f"image {record.image_id} ({record.width}x{record.height})"
             )
-        mask = rle_decode(rle)
-        return mask if kind == "mask" else mask_to_bbox(mask)
+        return rle if kind == "mask" else mask_to_bbox(rle)
     if kind == "mask":
         raise GeometryMismatch(
             f"iou_kind 'mask' needs mask geometry, detection on {det.image_id} has only a box"
@@ -134,7 +124,7 @@ def match_detections(
 
     For ``iou_kind == "box"``, mask detections are converted through their
     tight bounding box, and ground-truth polygons through the bounding box
-    of their rasterized mask, so both kinds are derived from the same bitmap.
+    of their rasterized mask, so both kinds are derived from the same runs.
     """
     for det in dets:
         if det.image_id != record.image_id:
@@ -143,7 +133,7 @@ def match_detections(
             )
     gt_masks = [rasterize_polygon(label, record.width, record.height) for label in record.labels]
     if cfg.iou_kind == "box":
-        gt_geoms: list[Box | BitMask | None] = [mask_to_bbox(m) for m in gt_masks]
+        gt_geoms: list[Box | RleMask | None] = [mask_to_bbox(m) for m in gt_masks]
     else:
         gt_geoms = list(gt_masks)
     det_geoms = [_det_geometry(det, record, cfg.iou_kind) for det in dets]
@@ -431,13 +421,13 @@ def _detection_from_obj(n: int, obj: object) -> Detection:
             if not isinstance(rle, Mapping):
                 raise SchemaViolation(f"prediction line {n}: rle must be an object")
             geometry = RleMask(
-                width=int(rle["width"]),
-                height=int(rle["height"]),
-                runs=tuple(int(r) for r in rle["runs"]),
+                width=_integer(rle["width"]),
+                height=_integer(rle["height"]),
+                runs=tuple(_integer(r) for r in rle["runs"]),
             )
         return Detection(
             image_id=str(obj["image_id"]),
-            class_id=int(obj["class_id"]),
+            class_id=_integer(obj["class_id"]),
             score=float(obj["score"]),
             geometry=geometry,
         )

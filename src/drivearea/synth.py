@@ -36,7 +36,7 @@ from .dataset import (
     WEATHER_TAGS,
 )
 from .errors import GeometryMismatch, NoGroundTruth
-from .geometry import RleMask, rasterize_polygon, rle_decode, rle_encode
+from .geometry import RleMask, rasterize_polygon, rle_decode
 from .metrics import Detection, MatchConfig
 
 __all__ = [
@@ -95,11 +95,9 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        old = self._state
+        self._state = (old + _GOLDEN) & _MASK64
+        return _mix64(old)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Uniform in [lo, hi) with 53-bit resolution."""
@@ -251,7 +249,7 @@ def corrupt_predictions(record: ImageRecord, params: SynthParams) -> list[Detect
 
     Per ground-truth polygon, with probability 1 - drop_rate, a detection is
     emitted whose vertices carry Gaussian jitter; the jittered polygon is
-    rasterized and RLE-encoded, with score 1 - |noise|. Poisson(fp_rate)
+    rasterized to its mask, with score 1 - |noise|. Poisson(fp_rate)
     spurious low-overlap detections (small rectangles near the top of the
     frame, above the lanes) are appended. Deterministic in
     (params.seed, record.image_id).
@@ -269,13 +267,12 @@ def corrupt_predictions(record: ImageRecord, params: SynthParams) -> list[Detect
         score = _clamp(1.0 - abs(rng.gauss(0.0, params.score_noise)), 0.0, 1.0)
         if not emit:
             continue
-        mask = rasterize_polygon(verts, width, height)
         dets.append(
             Detection(
                 image_id=record.image_id,
                 class_id=label.class_id,
                 score=score,
-                geometry=rle_encode(mask),
+                geometry=rasterize_polygon(verts, width, height),
             )
         )
 
@@ -285,13 +282,12 @@ def corrupt_predictions(record: ImageRecord, params: SynthParams) -> list[Detect
         x = rng.uniform(1.0, max(1.5, width - 1.0 - w))
         y = rng.uniform(1.0, max(1.5, 0.30 * height - h))
         rect = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
-        mask = rasterize_polygon(rect, width, height)
         dets.append(
             Detection(
                 image_id=record.image_id,
                 class_id=DIRECT + rng.randint(2),
                 score=rng.uniform(0.05, 0.45),
-                geometry=rle_encode(mask),
+                geometry=rasterize_polygon(rect, width, height),
             )
         )
     return dets
@@ -300,7 +296,7 @@ def corrupt_predictions(record: ImageRecord, params: SynthParams) -> list[Detect
 def generate_suite(params: SynthParams) -> tuple[DatasetIndex, list[Detection]]:
     """A full synthetic dataset plus matching corrupted predictions."""
     records = tuple(generate_scene(params, i) for i in range(params.n_images))
-    index = DatasetIndex(records=records, source_split="other")
+    index = DatasetIndex(records=records)
     dets: list[Detection] = []
     for record in index.records:
         dets.extend(corrupt_predictions(record, params))
@@ -392,7 +388,7 @@ def oracle_map(
     for record in index.records:
         det_ids = [i for i, d in enumerate(dets) if d.image_id == record.image_id]
         gt_masks = [
-            rasterize_polygon(label, record.width, record.height).bits
+            rle_decode(rasterize_polygon(label, record.width, record.height))
             for label in record.labels
         ]
         det_geoms = []
@@ -403,7 +399,7 @@ def oracle_map(
                     raise GeometryMismatch(
                         f"detection mask does not match image {record.image_id}"
                     )
-                bits = rle_decode(det.geometry).bits
+                bits = rle_decode(det.geometry)
                 det_geoms.append(bits if cfg.iou_kind == "mask" else _oracle_bbox(bits))
             elif cfg.iou_kind == "mask":
                 raise GeometryMismatch(

@@ -27,7 +27,6 @@ from drivearea.dataset import (
     write_normalized,
 )
 from drivearea.geometry import (
-    BitMask,
     Box,
     polygon_area,
     polygon_perimeter,
@@ -223,14 +222,14 @@ def test_07_rasterizer_bound_and_oracle_exactness():
             n = int(prng.integers(3, 12))
             poly = star_polygon(prng, n, cx=32.0, cy=32.0, r_min=4.0, r_max=30.0)
             mask = rasterize_polygon(poly, 64, 64)
-            assert np.array_equal(mask.bits, pixel_center_oracle(poly, 64, 64))
+            assert np.array_equal(rle_decode(mask), pixel_center_oracle(poly, 64, 64))
         for poly in (
             [(8.5, 8.5), (40.5, 8.5), (40.5, 30.5), (8.5, 30.5)],
             [(8, 8), (40, 8), (40, 30), (8, 30)],
             [(5, 5), (60, 50), (60, 5), (5, 50)],
         ):
             mask = rasterize_polygon(poly, 64, 64)
-            assert np.array_equal(mask.bits, pixel_center_oracle(poly, 64, 64))
+            assert np.array_equal(rle_decode(mask), pixel_center_oracle(poly, 64, 64))
 
 
 def test_08_anchor_law():
@@ -299,8 +298,8 @@ def test_09_round_trips():
 
         for _ in range(1000):
             w, h = int(rng.integers(1, 32)), int(rng.integers(1, 32))
-            mask = BitMask(rng.random((h, w)) < rng.random())
-            assert rle_decode(rle_encode(mask)) == mask
+            mask = rng.random((h, w)) < rng.random()
+            assert np.array_equal(rle_decode(rle_encode(mask)), mask)
 
         for _ in range(1000):
             anchor = Box(*rng.uniform(-100, 100, 2), *rng.uniform(0.05, 50, 2))

@@ -81,6 +81,35 @@ class TestPreprocess:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
 
+    @pytest.mark.parametrize("spelling", ["same", "symlink"])
+    def test_out_onto_labels_exits_2(self, runner, tmp_path, three_image_bdd, spelling):
+        src = tmp_path / "labels.json"
+        src.write_bytes(three_image_bdd)
+        out = src
+        if spelling == "symlink":
+            out = tmp_path / "link.json"
+            out.symlink_to(src)
+        result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: --out {out} is the same file as --labels")
+        assert src.read_bytes() == three_image_bdd
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", 40.9), ("height", True), ("class_id", True)],
+    )
+    def test_non_integer_record_field_exits_2(self, runner, tmp_path, field, value):
+        poly = {"class_id": 1, "vertices": [[1, 1], [30, 1], [30, 20]]}
+        rec = {"image_id": "a", "width": 40, "height": 30, "polygons": [poly]}
+        (poly if field == "class_id" else rec)[field] = value
+        src = tmp_path / "labels.json"
+        src.write_text(json.dumps({"records": [rec]}))
+        out = tmp_path / "normalized.json"
+        result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: record 0")
+        assert not out.exists()
+
 
 class TestRasterize:
     def _write_labels(self, tmp_path, three_image_bdd):
@@ -114,7 +143,7 @@ class TestRasterize:
             mask = rle_decode(RleMask(payload["width"], payload["height"], tuple(payload["runs"])))
             pgm_file = out_pgm / rle_file.name.replace(".rle.json", ".pgm")
             pixels = read_pgm(pgm_file.read_bytes())
-            assert np.array_equal(pixels == 255, mask.bits)
+            assert np.array_equal(pixels == 255, mask)
 
     def test_empty_index_writes_nothing(self, runner, tmp_path):
         src = tmp_path / "labels.json"
@@ -184,6 +213,14 @@ class TestSynth:
         result = invoke(runner, args)
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
+
+    def test_same_output_twice_exits_2(self, runner, tmp_path):
+        out = tmp_path / "both.json"
+        result = invoke(runner, ["synth", "--n-images", "1", "--out-labels", str(out),
+                                 "--out-predictions", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: --out-predictions {out} is the same file as")
+        assert not out.exists()
 
 
 class TestEval:
@@ -268,6 +305,53 @@ class TestEval:
                                  "--out", str(unwritable(tmp_path) / "report.json")])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
+
+    def test_out_and_csv_same_file_exits_2(self, runner, tmp_path):
+        labels, preds = self._synth_files(runner, tmp_path)
+        out = tmp_path / "r.json"
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(out), "--csv", str(tmp_path / "." / "r.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: --csv")
+        assert "is the same file as --out" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output", ["--out", "--csv"])
+    @pytest.mark.parametrize("source", ["--labels", "--predictions"])
+    def test_output_onto_input_exits_2(self, runner, tmp_path, output, source):
+        labels, preds = self._synth_files(runner, tmp_path)
+        before = {labels: labels.read_bytes(), preds: preds.read_bytes()}
+        target = labels if source == "--labels" else preds
+        paths = {"--out": tmp_path / "r.json", "--csv": tmp_path / "r.csv", output: target}
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(paths["--out"]), "--csv", str(paths["--csv"])])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {output} {target} is the same file as {source}")
+        assert {p: p.read_bytes() for p in before} == before
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("class_id", 2.7), ("class_id", True), ("width", 8.5), ("height", True),
+         ("runs", [0.5, 8]), ("runs", [True, 7])],
+    )
+    def test_non_integer_prediction_field_exits_2(self, runner, tmp_path, key, value):
+        labels = tmp_path / "gt.json"
+        labels.write_text(json.dumps({"records": [{
+            "image_id": "a", "width": 8, "height": 1,
+            "polygons": [{"class_id": 1, "vertices": [[0, 0], [8, 0], [8, 1], [0, 1]]}],
+        }]}))
+        det = {"image_id": "a", "class_id": 1, "score": 0.9,
+               "rle": {"width": 8, "height": 1, "runs": [0, 8]}}
+        (det if key == "class_id" else det["rle"])[key] = value
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(det) + "\n")
+        out = tmp_path / "r.json"
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(out), "--iou-kind", "mask"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: prediction line 1: expected an integer")
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -222,6 +222,13 @@ class TestWriteNormalized:
         assert text.index('"scene"') < text.index('"timeofday"') < text.index('"polygons"')
         assert ": " not in text and ", " not in text
 
+    def test_integral_floats_read_as_ints(self):
+        poly = {"class_id": 2.0, "vertices": [[1, 1], [30, 1], [30, 20]]}
+        raw = {"records": [{"image_id": "a", "width": 40.0, "height": 30, "polygons": [poly]}]}
+        rec = parse_labels(json.dumps(raw).encode()).records[0]
+        assert (rec.width, rec.height, rec.labels[0].class_id) == (40, 30, ALTERNATIVE)
+        assert type(rec.width) is int and type(rec.labels[0].class_id) is int
+
     def test_io_failure_wrapped(self):
         class Broken:
             def write(self, _):

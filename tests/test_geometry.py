@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from drivearea.errors import DegeneratePolygon, DimensionMismatch, InvalidRle
 from drivearea.geometry import (
-    BitMask,
     Box,
     RleMask,
     box_iou,
     mask_iou,
     mask_to_bbox,
+    mask_union,
     polygon_area,
     polygon_perimeter,
     rasterize_polygon,
@@ -70,20 +71,98 @@ def polygons_on_grids(draw):
     return verts, width, height
 
 
+@st.composite
+def mask_pairs(draw):
+    """(a, b): two dense bool grids of one shape, for the run-native operations.
+
+    Shapes include 1xN and Nx1 grids. Each mask is empty, full, random
+    pixels at a drawn density, or a few flat spans long enough to wrap
+    across rows; numpy draws the pixels from a hypothesis seed.
+    """
+    height, width = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def one(kind):
+        bits = np.zeros(height * width, dtype=bool)
+        if kind == "full":
+            bits[:] = True
+        elif kind == "random":
+            bits = rng.random(height * width) < rng.random()
+        elif kind == "spans":
+            for _ in range(int(rng.integers(1, 4))):
+                start = int(rng.integers(0, bits.size))
+                bits[start:start + int(rng.integers(1, 3 * width + 2))] = True
+        return bits.reshape(height, width)
+
+    kinds = st.sampled_from(["empty", "full", "random", "spans"])
+    return one(draw(kinds)), one(draw(kinds))
+
+
+def dense_bbox(bits):
+    rows = np.flatnonzero(bits.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(bits.any(axis=0))
+    return Box(cols[0], rows[0], cols[-1] - cols[0] + 1, rows[-1] - rows[0] + 1)
+
+
+class TestRunsAgainstDense:
+    @given(mask_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_operations_equal_dense_numpy(self, pair):
+        a, b = pair
+        ra, rb = rle_encode(a), rle_encode(b)
+        for bits, rle in ((a, ra), (b, rb)):
+            assert np.array_equal(rle_decode(rle), bits)
+            assert rle.count == int(bits.sum())
+            assert mask_to_bbox(rle) == dense_bbox(bits)
+        inter, union = int((a & b).sum()), int((a | b).sum())
+        assert mask_iou(ra, rb) == (inter / union if union else 0.0)
+        assert mask_union([ra, rb]) == rle_encode(a | b)
+        assert mask_union([rb, ra, rb]) == rle_encode(a | b)
+        assert mask_union([ra]) == ra
+
+    def test_union_rejects_mixed_sizes_and_nothing(self):
+        with pytest.raises(DimensionMismatch):
+            mask_union([rasterize_polygon(TRI, 10, 10), rasterize_polygon(TRI, 10, 11)])
+        with pytest.raises(ValueError):
+            mask_union([])
+
+    @pytest.mark.parametrize("size", [10_000, 10**9])
+    def test_huge_grid_allocates_only_runs(self, size):
+        # A dense 10 000 x 10 000 frame alone would take 95 MiB.
+        tri = [(10.0, 10.0), (40.0, 10.0), (10.0, 40.0)]
+        tracemalloc.start()
+        try:
+            mask = rasterize_polygon(tri, size, size)
+            box = mask_to_bbox(mask)
+            iou = mask_iou(mask, mask_union([mask, mask]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        small = rasterize_polygon(tri, 64, 64)
+        assert (mask.count, box, iou) == (small.count, mask_to_bbox(small), 1.0)
+
+
 class TestRasterize:
     def test_rectangle_pixel_count(self):
         mask = rasterize_polygon(RECT, 10, 10)
         oracle = pixel_center_oracle(RECT, 10, 10)
         assert int(oracle.sum()) == 12  # frozen from the pixel-center oracle
         assert mask.count == 12
-        assert np.array_equal(mask.bits, oracle)
+        assert np.array_equal(rle_decode(mask), oracle)
 
     def test_triangle_matches_oracle(self):
         mask = rasterize_polygon(TRI, 10, 10)
         oracle = pixel_center_oracle(TRI, 10, 10)
         assert int(oracle.sum()) == 6  # frozen from the pixel-center oracle
         assert mask.count == 6
-        assert np.array_equal(mask.bits, oracle)
+        assert np.array_equal(rle_decode(mask), oracle)
 
     def test_polygon_fully_outside_grid(self):
         mask = rasterize_polygon([(20, 20), (30, 20), (25, 30)], 10, 10)
@@ -110,7 +189,7 @@ class TestRasterize:
         n = int(rng.integers(3, 12))
         poly = star_polygon(rng, n, cx=32.0, cy=32.0, r_min=4.0, r_max=30.0)
         mask = rasterize_polygon(poly, 64, 64)
-        assert np.array_equal(mask.bits, pixel_center_oracle(poly, 64, 64))
+        assert np.array_equal(rle_decode(mask), pixel_center_oracle(poly, 64, 64))
 
     @pytest.mark.parametrize(
         "poly",
@@ -123,14 +202,14 @@ class TestRasterize:
     )
     def test_scanline_equals_oracle_adversarial(self, poly):
         mask = rasterize_polygon(poly, 64, 64)
-        assert np.array_equal(mask.bits, pixel_center_oracle(poly, 64, 64))
+        assert np.array_equal(rle_decode(mask), pixel_center_oracle(poly, 64, 64))
 
     @given(polygons_on_grids())
     @settings(max_examples=300, deadline=None)
     def test_scanline_equals_oracle_property(self, case):
         poly, width, height = case
         mask = rasterize_polygon(poly, width, height)
-        assert np.array_equal(mask.bits, pixel_center_oracle(poly, width, height))
+        assert np.array_equal(rle_decode(mask), pixel_center_oracle(poly, width, height))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_set_count_bounded_by_area_and_perimeter(self, seed):
@@ -162,8 +241,8 @@ class TestMaskIou:
         assert mask_iou(m, m) == 1.0
 
     def test_disjoint_masks(self):
-        a = BitMask(np.eye(4, dtype=bool))
-        b = BitMask(~np.eye(4, dtype=bool))
+        a = rle_encode(np.eye(4, dtype=bool))
+        b = rle_encode(~np.eye(4, dtype=bool))
         assert mask_iou(a, b) == 0.0
 
     def test_two_blocks_overlap_third(self):
@@ -172,21 +251,22 @@ class TestMaskIou:
         b = np.zeros((6, 8), dtype=bool)
         a[0:2, 0:4] = True
         b[0:2, 2:6] = True
-        assert mask_iou(BitMask(a), BitMask(b)) == pytest.approx(1 / 3, abs=0)
+        assert mask_iou(rle_encode(a), rle_encode(b)) == pytest.approx(1 / 3, abs=0)
 
     def test_empty_vs_empty_is_zero(self):
-        a = BitMask.zeros(5, 5)
+        a = rle_encode(np.zeros((5, 5), dtype=bool))
         assert mask_iou(a, a) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mask_iou(BitMask.zeros(4, 4), BitMask.zeros(5, 4))
+            mask_iou(rle_encode(np.zeros((4, 4), dtype=bool)),
+                     rle_encode(np.zeros((4, 5), dtype=bool)))
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            a = BitMask(rng.random((6, 9)) < 0.4)
-            b = BitMask(rng.random((6, 9)) < 0.4)
+            a = rle_encode(rng.random((6, 9)) < 0.4)
+            b = rle_encode(rng.random((6, 9)) < 0.4)
             iou = mask_iou(a, b)
             assert iou == mask_iou(b, a)
             assert 0.0 <= iou <= 1.0
@@ -243,31 +323,31 @@ class TestMaskToBbox:
     def test_single_pixel(self):
         bits = np.zeros((10, 10), dtype=bool)
         bits[5, 3] = True
-        assert mask_to_bbox(BitMask(bits)) == Box(3, 5, 1, 1)
+        assert mask_to_bbox(rle_encode(bits)) == Box(3, 5, 1, 1)
 
     def test_full_mask(self):
-        assert mask_to_bbox(BitMask(np.ones((10, 10), dtype=bool))) == Box(0, 0, 10, 10)
+        assert mask_to_bbox(rle_encode(np.ones((10, 10), dtype=bool))) == Box(0, 0, 10, 10)
 
     def test_two_pixels(self):
         bits = np.zeros((10, 10), dtype=bool)
         bits[1, 1] = True
         bits[2, 4] = True
-        assert mask_to_bbox(BitMask(bits)) == Box(1, 1, 4, 2)
+        assert mask_to_bbox(rle_encode(bits)) == Box(1, 1, 4, 2)
 
     def test_empty_mask(self):
-        assert mask_to_bbox(BitMask.zeros(4, 4)) is None
+        assert mask_to_bbox(rle_encode(np.zeros((4, 4), dtype=bool))) is None
 
 
 class TestRle:
     def test_all_zero(self):
-        assert rle_encode(BitMask.zeros(4, 4)).runs == (16,)
+        assert rle_encode(np.zeros((4, 4), dtype=bool)).runs == (16,)
 
     def test_all_one(self):
-        assert rle_encode(BitMask(np.ones((4, 4), dtype=bool))).runs == (0, 16)
+        assert rle_encode(np.ones((4, 4), dtype=bool)).runs == (0, 16)
 
     def test_checker_row(self):
         bits = np.array([[False, True, False, True]])
-        assert rle_encode(BitMask(bits)).runs == (1, 1, 1, 1)
+        assert rle_encode(bits).runs == (1, 1, 1, 1)
 
     def test_decode_rejects_bad_sum(self):
         with pytest.raises(InvalidRle):
@@ -278,14 +358,27 @@ class TestRle:
             RleMask(4, 1, (1, 0, 3))
 
     def test_leading_zero_allowed(self):
-        assert rle_decode(RleMask(4, 1, (0, 4))).count == 4
+        assert rle_decode(RleMask(4, 1, (0, 4))).sum() == 4
 
     @given(st.integers(0, 2**32), st.integers(1, 24), st.integers(1, 24))
     @settings(max_examples=300, deadline=None)
     def test_roundtrip_random_masks(self, seed, w, h):
         rng = np.random.default_rng(seed)
-        mask = BitMask(rng.random((h, w)) < rng.random())
-        assert rle_decode(rle_encode(mask)) == mask
+        mask = rng.random((h, w)) < rng.random()
+        assert np.array_equal(rle_decode(rle_encode(mask)), mask)
+
+    def test_encode_requires_2d(self):
+        with pytest.raises(ValueError):
+            rle_encode(np.zeros(4, dtype=bool))
+
+    def test_immutable(self):
+        m = rle_encode(np.zeros((2, 2), dtype=bool))
+        with pytest.raises(AttributeError):
+            m.runs = (0, 4)
+
+    def test_equality(self):
+        assert rle_encode(np.zeros((2, 3), dtype=bool)) == rle_encode(np.zeros((2, 3), dtype=bool))
+        assert rle_encode(np.zeros((2, 3), dtype=bool)) != rle_encode(np.zeros((3, 2), dtype=bool))
 
 
 class TestPolygonMeasures:
@@ -302,21 +395,6 @@ class TestPolygonMeasures:
         assert polygon_perimeter([(0, 0), (4, 0), (4, 3), (0, 3)]) == 14.0
 
 
-class TestBitMask:
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            BitMask(np.zeros(4, dtype=bool))
-
-    def test_immutable(self):
-        m = BitMask.zeros(2, 2)
-        with pytest.raises(AttributeError):
-            m.bits = np.ones((2, 2), dtype=bool)
-
-    def test_equality(self):
-        assert BitMask.zeros(3, 2) == BitMask.zeros(3, 2)
-        assert BitMask.zeros(3, 2) != BitMask.zeros(2, 3)
-
-
 class TestPgm:
     def test_export_roundtrip(self):
         mask = rasterize_polygon(TRI, 12, 9)
@@ -324,5 +402,5 @@ class TestPgm:
         write_pgm(mask, buf)
         pixels = read_pgm(buf.getvalue())
         assert pixels.shape == (9, 12)
-        assert np.array_equal(pixels == 255, mask.bits)
+        assert np.array_equal(pixels == 255, rle_decode(mask))
         assert set(np.unique(pixels)) <= {0, 255}

@@ -14,7 +14,7 @@ from drivearea.dataset import (
     PolygonLabel,
 )
 from drivearea.errors import GeometryMismatch, MalformedInput, NoGroundTruth, SchemaViolation
-from drivearea.geometry import Box, RleMask, rasterize_polygon, rle_encode
+from drivearea.geometry import Box, RleMask, rasterize_polygon
 from drivearea.metrics import (
     Detection,
     MatchConfig,
@@ -92,7 +92,7 @@ class TestMatchDetections:
     def test_mask_kind_exact_overlap(self):
         record = record_with_rects("a", [(2, 3, 8, 5)])
         mask = rasterize_polygon(record.labels[0], record.width, record.height)
-        det = Detection("a", DIRECT, 0.9, rle_encode(mask))
+        det = Detection("a", DIRECT, 0.9, mask)
         result = match_detections([det], record, MatchConfig(iou_kind="mask"))
         assert result.det_is_tp == (True,)
 
@@ -241,7 +241,7 @@ def _suite_with_conditions():
     for rec in index.records:
         for label in rec.labels:
             mask = rasterize_polygon(label, rec.width, rec.height)
-            dets.append(Detection(rec.image_id, label.class_id, 1.0, rle_encode(mask)))
+            dets.append(Detection(rec.image_id, label.class_id, 1.0, mask))
     return index, dets
 
 
@@ -328,8 +328,8 @@ class TestEvaluate:
         empty = RleMask(96, 64, (96 * 64,))
         dets = dets + [
             Detection("ghost", DIRECT, 0.95, empty),
-            Detection("blank", ALTERNATIVE, 0.9, rle_encode(
-                rasterize_polygon(PolygonLabel(ALTERNATIVE, rect_poly(4, 4, 20, 20)), 96, 64))),
+            Detection("blank", ALTERNATIVE, 0.9,
+                      rasterize_polygon(PolygonLabel(ALTERNATIVE, rect_poly(4, 4, 20, 20)), 96, 64)),
             Detection("ghost", ALTERNATIVE, 0.5, empty),
         ]
         cfg = MatchConfig(iou_kind=kind)
