@@ -26,8 +26,6 @@ from .errors import DriveAreaError, IoFailure, OutputCollision
 
 log = logging.getLogger(__name__)
 
-_INPUT_ERRORS = DriveAreaError  # schema, geometry, and format problems: exit 2
-
 
 def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
@@ -103,7 +101,7 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
     _refuse_collisions({"--labels": labels}, {"--out": out})
     try:
         index = _load_index(labels, default_dims)
-    except _INPUT_ERRORS as exc:
+    except DriveAreaError as exc:
         _fail(exc)
     if keep_empty:
         filtered, report = index, dataset.DropReport(
@@ -141,7 +139,7 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
     """Rasterize polygons to one mask per (image, class): direct and alternative separately."""
     try:
         index = _load_index(labels, default_dims)
-    except _INPUT_ERRORS as exc:
+    except DriveAreaError as exc:
         _fail(exc)
     # Plan every file first, so that a name collision writes nothing.
     jobs: dict[str, tuple[dataset.ImageRecord, list[dataset.PolygonLabel]]] = {}
@@ -205,7 +203,7 @@ def cmd_eval(
         with open(predictions, "r", encoding="utf-8") as fh:
             dets = list(metrics.read_predictions(fh))
         report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
-    except _INPUT_ERRORS as exc:
+    except DriveAreaError as exc:
         _fail(exc)
     when = datetime.now(timezone.utc).isoformat() if stamp else None
     with _writing_outputs():

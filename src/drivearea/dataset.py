@@ -15,12 +15,13 @@ else is skipped.
 from __future__ import annotations
 
 import json
-import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterator, Mapping
 
 from .errors import IoFailure, MalformedInput, SchemaViolation
+from .geometry import _integer, _number
 
 __all__ = [
     "DIRECT",
@@ -95,8 +96,10 @@ class ConditionKey:
     timeofday: str = "undefined"
 
     @classmethod
-    def from_attributes(cls, attrs: Mapping[str, Any] | None) -> "ConditionKey":
-        attrs = attrs or {}
+    def from_attributes(cls, attrs: object) -> "ConditionKey":
+        """The triple from a BDD ``attributes`` object; anything else reads as absent."""
+        if not isinstance(attrs, Mapping):
+            attrs = {}
         return cls(
             weather=normalize_tag(attrs.get("weather"), WEATHER_TAGS),
             scene=normalize_tag(attrs.get("scene"), SCENE_TAGS),
@@ -117,13 +120,13 @@ class PolygonLabel:
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.class_id not in CLASS_NAMES:
-            raise ValueError(f"class_id must be 1 or 2, got {self.class_id}")
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        class_id = _integer(self.class_id)
+        if class_id not in CLASS_NAMES:
+            raise ValueError(f"class_id must be 1 or 2, got {self.class_id!r}")
+        verts = tuple([(_number(x), _number(y)) for x, y in self.vertices])
         if len(verts) < 3:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in verts):
-            raise ValueError("polygon vertices must be finite")
+        object.__setattr__(self, "class_id", class_id)
         object.__setattr__(self, "vertices", verts)
 
 
@@ -138,8 +141,13 @@ class ImageRecord:
     labels: tuple[PolygonLabel, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
+        if not isinstance(self.image_id, str) or not self.image_id:
+            raise ValueError(f"image_id must be a non-empty string, got {self.image_id!r}")
+        width, height = _integer(self.width), _integer(self.height)
+        if width <= 0 or height <= 0:
+            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
@@ -209,52 +217,41 @@ def _load_json(raw: bytes | IO[bytes]) -> Any:
         ) from exc
 
 
-def _integer(value: Any) -> int:
-    """``int(value)``, refusing the bools and fractional numbers it would truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _clean_vertices(raw_vertices: Any) -> tuple[tuple[float, float], ...] | None:
-    """Vertex list to float pairs; None when the geometry is unusable."""
-    if not isinstance(raw_vertices, list) or len(raw_vertices) < 3:
-        return None
-    verts: list[tuple[float, float]] = []
-    for v in raw_vertices:
-        if not isinstance(v, (list, tuple)) or len(v) != 2:
-            return None
-        try:
-            x, y = float(v[0]), float(v[1])
-        except (TypeError, ValueError):
-            return None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return None
-        verts.append((x, y))
-    return tuple(verts)
+@contextmanager
+def _refusals(where: str) -> Iterator[None]:
+    """Report a missing field, or a field that a constructor refuses, as a
+    SchemaViolation at ``where``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaViolation(f"{where}: missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation(f"{where}: {exc}") from exc
 
 
 def _parse_bdd_entry(
     i: int, entry: Any, default_dims: tuple[int, int]
 ) -> tuple[ImageRecord, int, bool]:
-    """Returns (record, warning_count, had_rejected_drivable_label)."""
-    if not isinstance(entry, Mapping):
+    """Returns (record, warning_count, had_rejected_drivable_label). A label
+    without a known ``areaType`` name is skipped like any other category."""
+    if not isinstance(entry, dict):
         raise SchemaViolation(f"annotation entry {i}: expected an object")
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
-        raise SchemaViolation(f"annotation entry {i}: missing required field 'name'")
+    raw_labels = entry.get("labels") or []
+    if not isinstance(raw_labels, list):
+        raise SchemaViolation(f"annotation entry {i}: labels must be an array")
 
     warnings = 0
     rejected = False
     labels: list[PolygonLabel] = []
-    for label in entry.get("labels") or ():
-        if not isinstance(label, Mapping):
+    for label in raw_labels:
+        if not isinstance(label, dict):
             warnings += 1
             continue
         if label.get("category") != DRIVABLE_CATEGORY:
             continue
-        area_type = (label.get("attributes") or {}).get("areaType")
-        class_id = CLASS_IDS.get(area_type)
+        attributes = label.get("attributes")
+        area_type = attributes.get("areaType") if isinstance(attributes, dict) else None
+        class_id = CLASS_IDS.get(area_type) if isinstance(area_type, str) else None
         if class_id is None:
             continue
         polys = label.get("poly2d")
@@ -263,13 +260,10 @@ def _parse_bdd_entry(
             rejected = True
             continue
         for poly in polys:
-            if not isinstance(poly, Mapping):
-                warnings += 1
-                rejected = True
-                continue
-            verts = _clean_vertices(poly.get("vertices"))
-            if verts is None:
-                warnings += 1
+            try:
+                labels.append(PolygonLabel(class_id, poly["vertices"]))
+            except (KeyError, TypeError, ValueError):
+                warnings += 1  # not an object, or vertices PolygonLabel refuses
                 rejected = True
                 continue
             types = poly.get("types")
@@ -277,47 +271,28 @@ def _parse_bdd_entry(
                 # Curved segments are flattened: control points kept as
                 # ordinary vertices, flagged so callers can tell.
                 warnings += 1
-            labels.append(PolygonLabel(class_id=class_id, vertices=verts))
 
-    record = ImageRecord(
-        image_id=name,
-        width=default_dims[0],
-        height=default_dims[1],
-        conditions=ConditionKey.from_attributes(entry.get("attributes")),
-        labels=tuple(labels),
-    )
+    with _refusals(f"annotation entry {i}"):
+        conditions = ConditionKey.from_attributes(entry.get("attributes"))
+        record = ImageRecord(entry["name"], *default_dims, conditions, tuple(labels))
     return record, warnings, rejected and not labels
 
 
 def _parse_normalized_record(i: int, rec: Any) -> ImageRecord:
-    if not isinstance(rec, Mapping):
+    if not isinstance(rec, dict):
         raise SchemaViolation(f"record {i}: expected an object")
-    for key in ("image_id", "width", "height"):
-        if key not in rec:
-            raise SchemaViolation(f"record {i}: missing required field {key!r}")
-    image_id = rec["image_id"]
-    if not isinstance(image_id, str) or not image_id:
-        raise SchemaViolation(f"record {i}: image_id must be a non-empty string")
-    try:
-        width, height = _integer(rec["width"]), _integer(rec["height"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaViolation(f"record {i}: width/height must be integers") from exc
-    if width <= 0 or height <= 0:
-        raise SchemaViolation(f"record {i}: dimensions must be positive")
-
+    polys = rec.get("polygons") or []
+    if not isinstance(polys, list):
+        raise SchemaViolation(f"record {i}: polygons must be an array")
     labels: list[PolygonLabel] = []
-    for j, poly in enumerate(rec.get("polygons") or ()):
-        class_id = poly.get("class_id") if isinstance(poly, Mapping) else None
-        # Not bool (True == 1), and nothing unhashable reaches the lookup.
-        if type(class_id) not in (int, float) or class_id not in CLASS_NAMES:
-            raise SchemaViolation(f"record {i}, polygon {j}: class_id must be 1 or 2")
-        verts = _clean_vertices(poly.get("vertices"))
-        if verts is None:
-            raise SchemaViolation(f"record {i}, polygon {j}: bad vertices")
-        labels.append(PolygonLabel(class_id=int(class_id), vertices=verts))
-
-    conditions = ConditionKey.from_attributes(rec)
-    return ImageRecord(image_id, width, height, conditions, tuple(labels))
+    for j, poly in enumerate(polys):
+        if not isinstance(poly, dict):
+            raise SchemaViolation(f"record {i}, polygon {j}: expected an object")
+        with _refusals(f"record {i}, polygon {j}"):
+            labels.append(PolygonLabel(poly["class_id"], poly["vertices"]))
+    with _refusals(f"record {i}"):
+        conditions = ConditionKey.from_attributes(rec)
+        return ImageRecord(rec["image_id"], rec["width"], rec["height"], conditions, tuple(labels))
 
 
 def parse_labels(
@@ -347,7 +322,7 @@ def parse_labels(
             if was_degenerate:
                 degenerate.append(record.image_id)
             records.append(record)
-    elif isinstance(data, Mapping) and isinstance(data.get("records"), list):
+    elif isinstance(data, dict) and isinstance(data.get("records"), list):
         for i, rec in enumerate(data["records"]):
             records.append(_parse_normalized_record(i, rec))
     else:

@@ -11,8 +11,9 @@ Dense ``(height, width)`` bool arrays appear only at the edges:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 
@@ -33,6 +34,33 @@ __all__ = [
     "write_pgm",
 ]
 
+
+def _integer(value: Any) -> int:
+    """``value`` as an int: integral floats pass (40.0 reads as 40); bools,
+    strings and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value: Any) -> float:
+    """``value`` as a finite float; bools, strings and other non-numbers are refused."""
+    # The exact-type test is a shortcut for the common case, not a rule.
+    if type(value) not in (int, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle as (left, top, width, height) in pixel units."""
@@ -44,9 +72,7 @@ class Box:
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Box.{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, _number(getattr(self, name)))
         if self.w < 0 or self.h < 0:
             raise ValueError(f"Box size must be non-negative, got w={self.w}, h={self.h}")
 
@@ -80,7 +106,12 @@ class RleMask:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(map(int, self.runs)))
+        object.__setattr__(self, "width", _integer(self.width))
+        object.__setattr__(self, "height", _integer(self.height))
+        runs = tuple(self.runs)
+        if not {int}.issuperset(map(type, runs)):  # plain ints need no conversion
+            runs = tuple(map(_integer, runs))
+        object.__setattr__(self, "runs", runs)
         if self.width < 0 or self.height < 0:
             raise InvalidRle(f"negative mask dimensions {self.width}x{self.height}")
         if min(self.runs, default=0) < 0:

@@ -15,16 +15,19 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord, _integer
+from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
 from .errors import (
     GeometryMismatch,
     MalformedInput,
     NoGroundTruth,
     SchemaViolation,
 )
-from .geometry import Box, RleMask, box_iou, mask_iou, mask_to_bbox, rasterize_polygon
+from .geometry import (
+    Box, RleMask, _integer, _number, box_iou, mask_iou, mask_to_bbox, rasterize_polygon,
+)
 
 __all__ = [
     "Detection",
@@ -57,12 +60,17 @@ class Detection:
     geometry: Box | RleMask
 
     def __post_init__(self) -> None:
-        if self.class_id not in CLASS_NAMES:
-            raise ValueError(f"class_id must be 1 or 2, got {self.class_id}")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+        if not isinstance(self.image_id, str) or not self.image_id:
+            raise ValueError(f"image_id must be a non-empty string, got {self.image_id!r}")
+        class_id, score = _integer(self.class_id), _number(self.score)
+        if class_id not in CLASS_NAMES:
+            raise ValueError(f"class_id must be 1 or 2, got {self.class_id!r}")
+        if not (0.0 <= score <= 1.0):
+            raise ValueError(f"score must be in [0, 1], got {self.score!r}")
         if not isinstance(self.geometry, (Box, RleMask)):
             raise TypeError("geometry must be a Box or RleMask")
+        object.__setattr__(self, "class_id", class_id)
+        object.__setattr__(self, "score", score)
 
 
 @dataclass(frozen=True)
@@ -161,21 +169,19 @@ def match_detections(
 class PrCurve:
     """Precision-recall sweep for one class.
 
-    ``points`` holds (recall, precision) after each detection in descending
-    score order; ``tp_cumulative`` keeps the exact integer prefix counts the
-    floats were derived from.
+    ``tp_cumulative[k - 1]`` counts the true positives among the first k
+    detections in descending score order.
     """
 
-    points: tuple[tuple[float, float], ...]
     n_gt: int
     tp_cumulative: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        # AP is integrated from the counts, so points without them would score 0.
-        if len(self.tp_cumulative) != len(self.points):
-            raise ValueError(
-                f"tp_cumulative has {len(self.tp_cumulative)} entries for {len(self.points)} points"
-            )
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """(recall, precision) after each detection."""
+        return tuple(
+            (tp / self.n_gt, tp / k) for k, tp in enumerate(self.tp_cumulative, start=1)
+        )
 
 
 def precision_recall(
@@ -191,17 +197,9 @@ def precision_recall(
     if n_gt < 0:
         raise ValueError("n_gt must be >= 0")
     if n_gt == 0:
-        return PrCurve(points=(), n_gt=0)
+        return PrCurve(n_gt=0)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    points = []
-    tp_cum = []
-    tp = 0
-    for k, i in enumerate(order, start=1):
-        if tp_flags[i]:
-            tp += 1
-        tp_cum.append(tp)
-        points.append((tp / n_gt, tp / k))
-    return PrCurve(points=tuple(points), n_gt=n_gt, tp_cumulative=tuple(tp_cum))
+    return PrCurve(n_gt, tuple(accumulate(1 if tp_flags[i] else 0 for i in order)))
 
 
 def average_precision(curve: PrCurve) -> float | None:
@@ -401,39 +399,25 @@ def report_to_csv(report: EvalReport) -> str:
 
 
 def _detection_from_obj(n: int, obj: object) -> Detection:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         raise SchemaViolation(f"prediction line {n}: expected an object")
-    for key in ("image_id", "class_id", "score"):
-        if key not in obj:
-            raise SchemaViolation(f"prediction line {n}: missing required field {key!r}")
     has_bbox = "bbox" in obj
-    has_rle = "rle" in obj
-    if has_bbox == has_rle:
+    if has_bbox == ("rle" in obj):
         raise SchemaViolation(f"prediction line {n}: exactly one of 'bbox' or 'rle' required")
+    bbox, rle = obj.get("bbox"), obj.get("rle")
+    if has_bbox and not (isinstance(bbox, list) and len(bbox) == 4):
+        raise SchemaViolation(f"prediction line {n}: bbox must be [x, y, w, h]")
+    if not has_bbox and not isinstance(rle, dict):
+        raise SchemaViolation(f"prediction line {n}: rle must be an object")
     try:
         if has_bbox:
-            bbox = obj["bbox"]
-            if not isinstance(bbox, list) or len(bbox) != 4:
-                raise SchemaViolation(f"prediction line {n}: bbox must be [x, y, w, h]")
-            geometry: Box | RleMask = Box(*(float(v) for v in bbox))
+            geometry: Box | RleMask = Box(*bbox)
         else:
-            rle = obj["rle"]
-            if not isinstance(rle, Mapping):
-                raise SchemaViolation(f"prediction line {n}: rle must be an object")
-            geometry = RleMask(
-                width=_integer(rle["width"]),
-                height=_integer(rle["height"]),
-                runs=tuple(_integer(r) for r in rle["runs"]),
-            )
-        return Detection(
-            image_id=str(obj["image_id"]),
-            class_id=_integer(obj["class_id"]),
-            score=float(obj["score"]),
-            geometry=geometry,
-        )
-    except SchemaViolation:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+            geometry = RleMask(rle["width"], rle["height"], rle["runs"])
+        return Detection(obj["image_id"], obj["class_id"], obj["score"], geometry)
+    except KeyError as exc:
+        raise SchemaViolation(f"prediction line {n}: missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise SchemaViolation(f"prediction line {n}: {exc}") from exc
 
 

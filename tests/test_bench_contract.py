@@ -1,14 +1,19 @@
-"""The traced benchmark run (`perfbench/trace.py`) wraps library functions by
-name. A renamed or deleted function breaks `perfbench/run.py --trace 1`, so
-these tests pin every name it relies on."""
+"""The benchmark depends on the library in two ways that only show when it
+runs. The traced run (`perfbench/trace.py`) wraps library functions by name,
+so a renamed or deleted function breaks `perfbench/run.py --trace 1`; and the
+input generator (`perfbench/gen.py`) builds labels and detections with the
+library's constructors. These tests pin both."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 @pytest.fixture
@@ -44,3 +49,15 @@ def test_tracer_installs_and_uninstalls(trace):
     finally:
         tracer.uninstall()
     assert all(getattr(m, n) is fn for (m, n), fn in originals.items())
+
+
+@pytest.mark.parametrize("workload", ["crowded-box", "bdd-mask"])
+def test_generator_builds_inputs(tmp_path, workload):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "gen.py"), "--workload", workload, "--seed", "3",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

@@ -96,12 +96,13 @@ class TestPreprocess:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("width", 40.9), ("height", True), ("class_id", True)],
+        [("width", 40.9), ("height", True), ("class_id", True), ("width", "40"),
+         ("vertices", [["1", "1"], [30, 1], [30, 20]])],
     )
     def test_non_integer_record_field_exits_2(self, runner, tmp_path, field, value):
         poly = {"class_id": 1, "vertices": [[1, 1], [30, 1], [30, 20]]}
         rec = {"image_id": "a", "width": 40, "height": 30, "polygons": [poly]}
-        (poly if field == "class_id" else rec)[field] = value
+        (poly if field in poly else rec)[field] = value
         src = tmp_path / "labels.json"
         src.write_text(json.dumps({"records": [rec]}))
         out = tmp_path / "normalized.json"
@@ -330,28 +331,44 @@ class TestEval:
         assert {p: p.read_bytes() for p in before} == before
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("class_id", 2.7), ("class_id", True), ("width", 8.5), ("height", True),
-         ("runs", [0.5, 8]), ("runs", [True, 7])],
-    )
-    def test_non_integer_prediction_field_exits_2(self, runner, tmp_path, key, value):
+    def _eval_one_prediction(self, runner, tmp_path, det, iou_kind):
+        """Score one prediction line against an 8x1 image covered by one polygon."""
         labels = tmp_path / "gt.json"
         labels.write_text(json.dumps({"records": [{
             "image_id": "a", "width": 8, "height": 1,
             "polygons": [{"class_id": 1, "vertices": [[0, 0], [8, 0], [8, 1], [0, 1]]}],
         }]}))
-        det = {"image_id": "a", "class_id": 1, "score": 0.9,
-               "rle": {"width": 8, "height": 1, "runs": [0, 8]}}
-        (det if key == "class_id" else det["rle"])[key] = value
         preds = tmp_path / "preds.jsonl"
         preds.write_text(json.dumps(det) + "\n")
         out = tmp_path / "r.json"
         result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
-                                 "--out", str(out), "--iou-kind", "mask"])
+                                 "--out", str(out), "--iou-kind", iou_kind])
+        assert not out.exists()
+        return result
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("class_id", 2.7), ("class_id", True), ("width", 8.5), ("height", True),
+         ("runs", [0.5, 8]), ("runs", [True, 7]), ("runs", "08"), ("class_id", "1")],
+    )
+    def test_non_integer_prediction_field_exits_2(self, runner, tmp_path, key, value):
+        det = {"image_id": "a", "class_id": 1, "score": 0.9,
+               "rle": {"width": 8, "height": 1, "runs": [0, 8]}}
+        (det if key == "class_id" else det["rle"])[key] = value
+        result = self._eval_one_prediction(runner, tmp_path, det, "mask")
         assert result.exit_code == 2
         assert result.stderr.startswith("error: prediction line 1: expected an integer")
-        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("score", "0.9"), ("score", True), ("bbox", ["0", "0", "8", "1"]), ("image_id", 7)],
+    )
+    def test_mistyped_prediction_field_exits_2(self, runner, tmp_path, key, value):
+        det = {"image_id": "a", "class_id": 1, "score": 0.9, "bbox": [0, 0, 8, 1], key: value}
+        result = self._eval_one_prediction(runner, tmp_path, det, "box")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: prediction line 1: ")
+        assert len(result.stderr.splitlines()) == 1
 
 
 class TestExitCodes:

@@ -73,6 +73,36 @@ class TestParseBdd:
         assert index.records[0].labels == ()
         assert index.parse_warnings == 0
 
+    @pytest.mark.parametrize(
+        "label_attributes, entry_attributes, n_labels",
+        [({"areaType": ["direct"]}, None, 0), (["x"], None, 0), ({"areaType": "direct"}, ["x"], 1)],
+    )
+    def test_odd_attributes_read_as_absent(self, label_attributes, entry_attributes, n_labels):
+        label = drivable_label("direct", RECT)
+        label["attributes"] = label_attributes
+        raw = json.dumps([bdd_entry("x", [label], attributes=entry_attributes)]).encode()
+        index = parse_labels(raw)
+        assert index.records[0].conditions == ConditionKey()
+        assert len(index.records[0].labels) == n_labels
+        assert index.parse_warnings == 0
+
+    @pytest.mark.parametrize("first", [["10", "10"], [True, 10], [10**400, 10]])
+    def test_non_number_coordinates_rejected_with_warning(self, first):
+        vertices = [first] + [list(v) for v in RECT[1:]]
+        raw = json.dumps([bdd_entry("x", [drivable_label("direct", vertices)])]).encode()
+        index = parse_labels(raw)
+        assert index.records[0].labels == ()
+        assert index.parse_warnings == 1
+        assert index.degenerate_ids == ("x",)
+
+    @pytest.mark.parametrize("doc", [
+        [{"name": "x", "labels": 5}],
+        {"records": [{"image_id": "x", "width": 4, "height": 4, "polygons": 5}]},
+    ])
+    def test_non_array_labels_is_schema_violation(self, doc):
+        with pytest.raises(SchemaViolation, match="must be an array"):
+            parse_labels(json.dumps(doc).encode())
+
     def test_missing_name_is_schema_violation(self):
         raw = json.dumps([{"labels": []}]).encode()
         with pytest.raises(SchemaViolation, match="entry 0.*'name'"):

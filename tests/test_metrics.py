@@ -18,7 +18,6 @@ from drivearea.geometry import Box, RleMask, rasterize_polygon
 from drivearea.metrics import (
     Detection,
     MatchConfig,
-    PrCurve,
     average_precision,
     evaluate,
     match_detections,
@@ -197,10 +196,6 @@ class TestAveragePrecision:
             precision_recall(scores + [0.05], flags + [False], n_gt=2)
         )
         assert extended == base
-
-    def test_points_without_counts_rejected(self):
-        with pytest.raises(ValueError, match="tp_cumulative"):
-            PrCurve(points=((0.5, 1.0), (1.0, 1.0)), n_gt=2)
 
     def test_duplicate_tp_never_pushes_recall_past_one(self):
         curve = precision_recall([0.9, 0.8], [True, False], n_gt=1)
