@@ -200,7 +200,7 @@ def cmd_eval(
         index = _load_index(labels, default_dims)
         filtered, _ = dataset.filter_drivable(index)
         cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
-        with open(predictions, "r", encoding="utf-8") as fh:
+        with open(predictions, "rb") as fh:  # lines decode one at a time, so errors have a line
             dets = list(metrics.read_predictions(fh))
         report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
     except DriveAreaError as exc:

@@ -14,9 +14,11 @@ else is skipped.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterator, Mapping
 
@@ -144,8 +146,8 @@ class ImageRecord:
         if not isinstance(self.image_id, str) or not self.image_id:
             raise ValueError(f"image_id must be a non-empty string, got {self.image_id!r}")
         width, height = _integer(self.width), _integer(self.height)
-        if width <= 0 or height <= 0:
-            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+        if not (0 < width < 2**31 and 0 < height < 2**31):  # so row * width + col fits int64
+            raise ValueError(f"image dimensions must be in 1..{2**31 - 1}, got {width}x{height}")
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -207,14 +209,50 @@ class DropReport:
             raise ValueError("kept + dropped must equal total_in")
 
 
-def _load_json(raw: bytes | IO[bytes]) -> Any:
-    data = raw.read() if hasattr(raw, "read") else raw
+_READ_SIZE = 1 << 20  # bytes per read of a raw BDD array
+_DECODER = json.JSONDecoder()
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_WS, _OPEN = re.compile(r"[ \t\n\r]*"), re.compile(r"[ \t\n\r]*\[")
+_COMMA, _CLOSE = re.compile(r"[ \t\n\r]*,"), re.compile(r"[ \t\n\r]*\][ \t\n\r]*")
+
+
+def _read_json(raw: bytes | IO[bytes]) -> Iterator[Any]:
+    """Yield the root that json.loads returns, but for an array root yield ``[]`` and then
+    the elements, decoded one at a time from reads that double while one outgrows the
+    window. A document that json.loads refuses is handed to it whole, to raise its error."""
+    src = raw if hasattr(raw, "read") else io.BytesIO(raw)
+    src = src if src.seekable() else io.BytesIO(src.read())  # a refused file is read again
+    start, count, size, eof, opened = src.tell(), 0, _READ_SIZE, False, None
+    with suppress(ValueError):  # bytes that do not decode: json.loads reports them
+        data = src.read(max(size, 4))  # json.loads picks the encoding from four bytes
+        decoder = codecs.getincrementaldecoder(json.detect_encoding(data))("surrogatepass")
+        text = decoder.decode(data)
+        if opened := _OPEN.match(text):
+            yield []
+            pos = opened.end()
+        while opened:
+            try:
+                element, end = _DECODER.raw_decode(text, _WS.match(text, pos).end())
+                sep = _COMMA.match(text, end) or eof and _CLOSE.fullmatch(text, end)
+            except (ValueError, RecursionError):  # cut by the window, or not JSON
+                sep = None
+            if sep:
+                yield element
+                count, pos, size = count + 1, sep.end(), _READ_SIZE
+                if sep.re is _CLOSE:
+                    return
+            elif eof:
+                break
+            else:
+                data, size = src.read(size), 2 * size
+                text, pos, eof = text[pos:] + decoder.decode(data, final=not data), 0, not data
+    src.seek(start)
     try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        doc = json.loads(src.read())
+    except (ValueError, RecursionError) as exc:  # also bad bytes, huge integers, deep nesting
+        at = f" at line {exc.lineno}, column {exc.colno}" if hasattr(exc, "colno") else ""
+        raise MalformedInput(f"invalid JSON{at}: {getattr(exc, 'msg', exc)}") from exc
+    yield from doc[count:] if opened else [doc]
 
 
 @contextmanager
@@ -305,23 +343,30 @@ def parse_labels(
     with unusable geometry are rejected and tallied in
     ``DatasetIndex.parse_warnings``. Image dimensions default to
     ``default_dims`` when the file does not carry them (raw BDD never does).
+    Raw BDD entries are decoded one at a time; a normalized file is decoded whole.
 
     Raises:
-        MalformedInput: the bytes are not valid JSON.
+        MalformedInput: the bytes are not valid JSON, even after a schema error.
         SchemaViolation: the JSON does not match either supported schema.
     """
-    data = _load_json(raw)
+    values = _read_json(raw)
+    data = next(values)
     records: list[ImageRecord] = []
     warnings = 0
     degenerate: list[str] = []
 
-    if isinstance(data, list):
-        for i, entry in enumerate(data):
-            record, w, was_degenerate = _parse_bdd_entry(i, entry, default_dims)
-            warnings += w
-            if was_degenerate:
-                degenerate.append(record.image_id)
-            records.append(record)
+    if isinstance(data, list):  # raw BDD entries, or [] and the entries one at a time
+        try:
+            for i, entry in enumerate(data or values):
+                record, w, was_degenerate = _parse_bdd_entry(i, entry, default_dims)
+                warnings += w
+                if was_degenerate:
+                    degenerate.append(record.image_id)
+                records.append(record)
+        except SchemaViolation:
+            for _ in values:  # invalid JSON anywhere in the file is reported first
+                pass
+            raise
     elif isinstance(data, dict) and isinstance(data.get("records"), list):
         for i, rec in enumerate(data["records"]):
             records.append(_parse_normalized_record(i, rec))
@@ -364,28 +409,22 @@ def write_normalized(index: DatasetIndex, sink: IO[bytes]) -> int:
     """Write the normalized annotation format; returns records written.
 
     The output is minified UTF-8 JSON with record keys in a fixed order,
-    and parses back record-for-record via :func:`parse_labels`.
+    written a record at a time, and parses back via :func:`parse_labels`.
     """
-    payload = {
-        "records": [
-            {
+    try:
+        sink.write(b'{"records":[')
+        for i, r in enumerate(index.records):
+            record = {
                 "image_id": r.image_id,
                 "width": r.width,
                 "height": r.height,
                 "weather": r.conditions.weather,
                 "scene": r.conditions.scene,
                 "timeofday": r.conditions.timeofday,
-                "polygons": [
-                    {"class_id": p.class_id, "vertices": [[x, y] for x, y in p.vertices]}
-                    for p in r.labels
-                ],
+                "polygons": [{"class_id": p.class_id, "vertices": p.vertices} for p in r.labels],
             }
-            for r in index.records
-        ]
-    }
-    encoded = json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    try:
-        sink.write(encoded)
+            sink.write((b"," if i else b"") + _ENCODER.encode(record).encode("utf-8"))
+        sink.write(b"]}")
     except OSError as exc:
         raise IoFailure(f"failed to write normalized annotations: {exc}") from exc
     return len(index.records)

@@ -425,16 +425,17 @@ def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
     """Stream detections from JSON Lines, one object per line.
 
     Accepts any iterable of lines (an open file works), so arbitrarily large
-    prediction files never need to fit in memory.
+    prediction files never need to fit in memory. Byte lines are UTF-8.
     """
     for n, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
         try:
+            stripped = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
+            if not stripped:
+                continue
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"prediction line {n}: invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge int, deep nesting
+            reason = getattr(exc, "msg", exc)
+            raise MalformedInput(f"prediction line {n}: invalid JSON: {reason}") from exc
         yield _detection_from_obj(n, obj)
 
 

@@ -6,6 +6,7 @@ a second, slow code path that defines the expected behavior, not speed.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -127,3 +128,26 @@ def star_polygon(rng: np.random.Generator, n_vertices: int, cx: float, cy: float
         (cx + r * math.cos(a), cy + r * math.sin(a))
         for a, r in zip(angles, radii)
     ]
+
+
+def normalized_bytes(index) -> bytes:
+    """The normalized annotation file for ``index``: the whole payload built
+    as one dict and serialized by one ``json.dumps`` call."""
+    payload = {
+        "records": [
+            {
+                "image_id": r.image_id,
+                "width": r.width,
+                "height": r.height,
+                "weather": r.conditions.weather,
+                "scene": r.conditions.scene,
+                "timeofday": r.conditions.timeofday,
+                "polygons": [
+                    {"class_id": p.class_id, "vertices": [[x, y] for x, y in p.vertices]}
+                    for p in r.labels
+                ],
+            }
+            for r in index.records
+        ]
+    }
+    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode("utf-8")

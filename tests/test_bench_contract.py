@@ -1,10 +1,13 @@
-"""The benchmark depends on the library in two ways that only show when it
+"""The benchmark depends on the library in three ways that only show when it
 runs. The traced run (`perfbench/trace.py`) wraps library functions by name,
-so a renamed or deleted function breaks `perfbench/run.py --trace 1`; and the
+so a renamed or deleted function breaks `perfbench/run.py --trace 1`; the
 input generator (`perfbench/gen.py`) builds labels and detections with the
-library's constructors. These tests pin both."""
+library's constructors; and the benchmark checks `preprocess` output against
+the generator's own normalization of the raw frames. These tests pin all three."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -61,3 +64,17 @@ def test_generator_builds_inputs(tmp_path, workload):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+    # The preprocess check of perfbench/run.py: a CLI process on raw.json.
+    norm = tmp_path / "norm.json"
+    result = subprocess.run(
+        [sys.executable, "-c", "from drivearea.cli import main; main()", "preprocess",
+         "--labels", str(tmp_path / "raw.json"), "--out", str(norm)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    expect = json.loads((tmp_path / "meta.json").read_text())["expect"]["preprocess"]
+    assert hashlib.sha256(norm.read_bytes()).hexdigest() == expect["norm_sha256"]
+    report = json.loads(result.stderr.strip().splitlines()[-1])
+    counts = ("total_in", "kept", "dropped", "parse_warnings")
+    assert {key: report[key] for key in counts} == {key: expect[key] for key in counts}

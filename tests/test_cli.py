@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from drivearea.cli import main
 from drivearea.dataset import parse_labels
-from drivearea.geometry import RleMask, rle_decode
+from drivearea.geometry import RleMask, rasterize_polygon, rle_decode
 from drivearea.metrics import MatchConfig, read_predictions
 from drivearea.synth import SynthParams, generate_suite, oracle_map
 
@@ -172,6 +172,23 @@ class TestRasterize:
                                  "--out", str(unwritable(tmp_path) / "masks")])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
+
+    @pytest.mark.parametrize("side, exit_code", [(2**31 - 1, 0), (2**31, 2), (2**70, 2)])
+    def test_image_side_capped_so_pixel_indices_fit_int64(self, runner, tmp_path, side, exit_code):
+        src = tmp_path / "labels.json"
+        src.write_text(json.dumps({"records": [{
+            "image_id": "a", "width": side, "height": side,
+            "polygons": [{"class_id": 1, "vertices": [[1, 1], [30, 1], [30, 20]]}],
+        }]}))
+        out = tmp_path / "masks"
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == exit_code
+        if exit_code:
+            assert result.stderr.startswith("error: record 0: image dimensions must be in")
+        else:
+            payload = json.loads((out / "a.direct.rle.json").read_text())
+            small = rasterize_polygon([(1, 1), (30, 1), (30, 20)], 64, 64)
+            assert payload["width"] == side and sum(payload["runs"][1::2]) == small.count
 
 
 class TestSynth:
@@ -369,6 +386,43 @@ class TestEval:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: prediction line 1: ")
         assert len(result.stderr.splitlines()) == 1
+
+
+# JSON values that json.loads refuses without a JSONDecodeError.
+HOSTILE_JSON = {
+    "long-integer": b"1" * 5000,
+    "non-utf8": b'"\xff"',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("hostile", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("command", ["preprocess", "rasterize", "eval"])
+def test_hostile_json_exits_2(runner, tmp_path, command, hostile):
+    value = HOSTILE_JSON[hostile]
+    labels, preds, out = tmp_path / "labels.json", tmp_path / "preds.jsonl", tmp_path / "out"
+    record = {"image_id": "a", "width": 8, "height": 1,
+              "polygons": [{"class_id": 1, "vertices": [[0, 0], [8, 0], [8, 1], [0, 1]]}]}
+    labels.write_text(json.dumps({"records": [record]}))
+    det = b'{"image_id": "a", "class_id": 1, "score": 0.9, "bbox": [0, 0, 8, 1]'
+    preds.write_bytes(det + b"}\n" + det + b', "note": ' + value + b"}\n")
+    if command == "preprocess":  # a raw BDD array whose second entry holds the value
+        labels.write_bytes(b'[{"name": "a"},\n {"name": "b", "attributes": {"weather": '
+                           + value + b"}}]")
+    elif command == "rasterize":
+        labels.write_bytes(b'{"records": [{"image_id": "a", "width": 8, "height": 1, '
+                           b'"weather": ' + value + b"}]}")
+    args = {
+        "preprocess": ["--out", str(out)],
+        "rasterize": ["--out", str(out)],
+        "eval": ["--predictions", str(preds), "--out", str(out)],
+    }[command]
+    result = invoke(runner, [command, "--labels", str(labels), *args])
+    assert result.exit_code == 2
+    where = "prediction line 2: " if command == "eval" else ""
+    assert result.stderr.startswith(f"error: {where}invalid JSON: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 class TestExitCodes:
