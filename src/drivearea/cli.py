@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import dataset, geometry, metrics, proposals, synth
-from .errors import DriveAreaError, IoFailure, OutputCollision
+from .errors import DimensionMismatch, DriveAreaError, IoFailure, OutputCollision
 
 log = logging.getLogger(__name__)
 
@@ -56,16 +56,16 @@ def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
         dims = (int(w), int(h))
     except ValueError:
         raise click.BadParameter(f"expected WxH, got {value!r}")
-    if dims[0] <= 0 or dims[1] <= 0:
-        raise click.BadParameter("dimensions must be positive")
+    if not all(0 < d <= dataset._MAX_SIDE for d in dims):
+        raise click.BadParameter(f"dimensions must be in 1..{dataset._MAX_SIDE}")
     return dims
 
 
 def _parse_iou_threshold(_ctx, _param, value: float) -> float:
-    # Written as a negation so that nan is rejected too.
-    if not (0.0 < value <= 1.0):
-        raise click.BadParameter(f"must be in (0, 1], got {value}")
-    return value
+    try:
+        return metrics.MatchConfig(iou_threshold=value).iou_threshold
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _parse_floats(_ctx, _param, value: str) -> tuple[float, ...]:
@@ -87,8 +87,11 @@ def main(verbose: bool) -> None:
 
 
 def _load_index(path: Path, default_dims: tuple[int, int]) -> dataset.DatasetIndex:
-    with open(path, "rb") as fh:
-        return dataset.parse_labels(fh, default_dims=default_dims)
+    try:
+        with open(path, "rb") as fh:
+            return dataset.parse_labels(fh, default_dims=default_dims)
+    except DriveAreaError as exc:
+        _fail(exc)
 
 
 @main.command()
@@ -99,10 +102,7 @@ def _load_index(path: Path, default_dims: tuple[int, int]) -> dataset.DatasetInd
 def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empty: bool) -> None:
     """Normalize an annotation file, dropping unlabeled images."""
     _refuse_collisions({"--labels": labels}, {"--out": out})
-    try:
-        index = _load_index(labels, default_dims)
-    except DriveAreaError as exc:
-        _fail(exc)
+    index = _load_index(labels, default_dims)
     if keep_empty:
         filtered, report = index, dataset.DropReport(
             total_in=len(index), kept=len(index), dropped_ids=(), drop_fraction=0.0
@@ -137,11 +137,9 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
 @click.option("--default-dims", default="1280x720", callback=_parse_dims, show_default=True)
 def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) -> None:
     """Rasterize polygons to one mask per (image, class): direct and alternative separately."""
-    try:
-        index = _load_index(labels, default_dims)
-    except DriveAreaError as exc:
-        _fail(exc)
-    # Plan every file first, so that a name collision writes nothing.
+    index = _load_index(labels, default_dims)
+    # Plan every file first, so that a name collision or a frame too large
+    # for a dense PGM writes nothing.
     jobs: dict[str, tuple[dataset.ImageRecord, list[dataset.PolygonLabel]]] = {}
     for record in index.records:
         for class_id, class_name in sorted(dataset.CLASS_NAMES.items()):
@@ -154,6 +152,11 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
                     f"image ids {jobs[stem][0].image_id!r} and {record.image_id!r} "
                     f"both map to output file name {stem!r}"
                 ))
+            try:
+                if fmt == "pgm":
+                    geometry._check_dense(record.width, record.height)
+            except DimensionMismatch as exc:
+                _fail(DimensionMismatch(f"image {record.image_id!r}: {exc}"))
             jobs[stem] = (record, polys)
     with _writing_outputs():
         out.mkdir(parents=True, exist_ok=True)

@@ -53,6 +53,7 @@ CLASS_NAMES = {DIRECT: "direct", ALTERNATIVE: "alternative"}
 
 # BDD frames are 1280x720; the label files do not carry dimensions.
 DEFAULT_DIMS = (1280, 720)
+_MAX_SIDE = 2**31 - 1  # the largest image side, so that row * width + col fits int64
 
 DRIVABLE_CATEGORY = "drivable area"
 
@@ -89,6 +90,18 @@ def normalize_tag(raw: object, vocabulary: tuple[str, ...]) -> str:
     return tag if tag in vocabulary else "undefined"
 
 
+def _class_id(value: Any) -> int:
+    class_id = _integer(value)
+    if class_id not in CLASS_NAMES:
+        raise ValueError(f"class_id must be 1 or 2, got {value!r}")
+    return class_id
+
+
+def _image_id(value: Any) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"image_id must be a non-empty string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConditionKey:
     """Normalized (weather, scene, timeofday) triple for stratification."""
@@ -122,9 +135,7 @@ class PolygonLabel:
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        class_id = _integer(self.class_id)
-        if class_id not in CLASS_NAMES:
-            raise ValueError(f"class_id must be 1 or 2, got {self.class_id!r}")
+        class_id = _class_id(self.class_id)
         verts = tuple([(_number(x), _number(y)) for x, y in self.vertices])
         if len(verts) < 3:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
@@ -143,11 +154,10 @@ class ImageRecord:
     labels: tuple[PolygonLabel, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.image_id, str) or not self.image_id:
-            raise ValueError(f"image_id must be a non-empty string, got {self.image_id!r}")
+        _image_id(self.image_id)
         width, height = _integer(self.width), _integer(self.height)
-        if not (0 < width < 2**31 and 0 < height < 2**31):  # so row * width + col fits int64
-            raise ValueError(f"image dimensions must be in 1..{2**31 - 1}, got {width}x{height}")
+        if not (0 < width <= _MAX_SIDE and 0 < height <= _MAX_SIDE):
+            raise ValueError(f"image dimensions must be in 1..{_MAX_SIDE}, got {width}x{height}")
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "labels", tuple(self.labels))

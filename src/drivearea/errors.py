@@ -28,7 +28,7 @@ class DegeneratePolygon(DriveAreaError):
 
 
 class DimensionMismatch(DriveAreaError):
-    """Two masks do not share the same width and height."""
+    """Two masks differ in width and height, or a mask is too large for a dense array."""
 
 
 class InvalidRle(DriveAreaError):

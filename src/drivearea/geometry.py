@@ -34,6 +34,16 @@ __all__ = [
     "write_pgm",
 ]
 
+_MAX_DENSE_PIXELS = 2**28  # a 16 384 x 16 384 frame: the largest dense array built
+
+
+def _check_dense(width: int, height: int) -> None:
+    """Refuse, before anything is allocated, a dense grid over the pixel cap."""
+    if width * height > _MAX_DENSE_PIXELS:
+        raise DimensionMismatch(
+            f"mask {width}x{height} exceeds the dense limit of {_MAX_DENSE_PIXELS} pixels"
+        )
+
 
 def _integer(value: Any) -> int:
     """``value`` as an int: integral floats pass (40.0 reads as 40); bools,
@@ -140,7 +150,9 @@ def _from_toggles(width: int, height: int, offsets: np.ndarray) -> RleMask:
     flips, times = np.unique(offsets, return_counts=True)
     flips = flips[(times % 2 == 1) & (flips < total)]
     runs = np.diff(np.concatenate(([0], flips, [total]))).tolist() if total else ()
-    return RleMask(width, height, tuple(runs))
+    mask = object.__new__(RleMask)  # canonical runs, plain int sizes: skip the input checks
+    mask.__dict__.update(width=width, height=height, runs=tuple(runs))
+    return mask
 
 
 def _spans(m: RleMask) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +201,9 @@ def rasterize_polygon(poly, width: int, height: int) -> RleMask:
 
     Args:
         poly: a PolygonLabel or any (V, 2) vertex sequence.
-        width, height: grid size in pixels, both > 0.
+        width, height: grid size in pixels, both integers > 0.
     """
+    width, height = _integer(width), _integer(height)
     if width <= 0 or height <= 0:
         raise ValueError(f"grid must be positive, got {width}x{height}")
     verts = _as_vertices(poly)
@@ -289,7 +302,8 @@ def rle_encode(bits: np.ndarray) -> RleMask:
 
 
 def rle_decode(r: RleMask) -> np.ndarray:
-    """Inverse of :func:`rle_encode`: the dense (height, width) bool array."""
+    """Inverse of :func:`rle_encode`: the dense (height, width) bool array, up to 2**28 pixels."""
+    _check_dense(r.width, r.height)
     values = np.arange(len(r.runs)) % 2 == 1
     return np.repeat(values, r.runs).reshape(r.height, r.width)
 
@@ -311,7 +325,7 @@ def polygon_perimeter(poly) -> float:
 
 
 def write_pgm(m: RleMask, sink: BinaryIO) -> None:
-    """Write a mask as binary PGM (P5, maxval 255, set pixels = 255)."""
-    header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
-    sink.write(header)
-    sink.write((rle_decode(m).astype(np.uint8) * 255).tobytes())
+    """Write a mask as binary PGM (P5, maxval 255, set pixels = 255); nothing if too large."""
+    pixels = rle_decode(m).astype(np.uint8) * 255
+    sink.write(f"P5\n{m.width} {m.height}\n255\n".encode("ascii"))
+    sink.write(pixels.tobytes())

@@ -19,6 +19,7 @@ from itertools import accumulate
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
+from .dataset import _class_id, _image_id, _refusals
 from .errors import (
     GeometryMismatch,
     MalformedInput,
@@ -26,7 +27,7 @@ from .errors import (
     SchemaViolation,
 )
 from .geometry import (
-    Box, RleMask, _integer, _number, box_iou, mask_iou, mask_to_bbox, rasterize_polygon,
+    Box, RleMask, _number, box_iou, mask_iou, mask_to_bbox, rasterize_polygon,
 )
 
 __all__ = [
@@ -60,11 +61,8 @@ class Detection:
     geometry: Box | RleMask
 
     def __post_init__(self) -> None:
-        if not isinstance(self.image_id, str) or not self.image_id:
-            raise ValueError(f"image_id must be a non-empty string, got {self.image_id!r}")
-        class_id, score = _integer(self.class_id), _number(self.score)
-        if class_id not in CLASS_NAMES:
-            raise ValueError(f"class_id must be 1 or 2, got {self.class_id!r}")
+        _image_id(self.image_id)
+        class_id, score = _class_id(self.class_id), _number(self.score)
         if not (0.0 <= score <= 1.0):
             raise ValueError(f"score must be in [0, 1], got {self.score!r}")
         if not isinstance(self.geometry, (Box, RleMask)):
@@ -304,9 +302,8 @@ def evaluate(
                 [dets[i].score for i in mine], [det_is_tp[i] for i in mine], n_gt[cls]
             )
             per_class[cls] = average_precision(curve)
-        defined = [v for v in per_class.values() if v is not None]
         return StratumResult(
-            map=(sum(defined) / len(defined)) if defined else None,
+            map=mean_ap(per_class) if any(n_gt.values()) else None,
             n_images=len(rows),
             n_gt=sum(n_gt.values()),
             per_class_ap=per_class,
@@ -415,10 +412,9 @@ def _detection_from_obj(n: int, obj: object) -> Detection:
         else:
             geometry = RleMask(rle["width"], rle["height"], rle["runs"])
         return Detection(obj["image_id"], obj["class_id"], obj["score"], geometry)
-    except KeyError as exc:
-        raise SchemaViolation(f"prediction line {n}: missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaViolation(f"prediction line {n}: {exc}") from exc
+    except (KeyError, TypeError, ValueError):  # a `with` here would cost every good line
+        with _refusals(f"prediction line {n}"):
+            raise
 
 
 def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:

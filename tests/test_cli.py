@@ -111,6 +111,28 @@ class TestPreprocess:
         assert result.stderr.startswith("error: record 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("entries", [[], [bdd_entry("a.jpg")]], ids=["empty", "one-entry"])
+    @pytest.mark.parametrize("dims", ["3000000000x10", "10x2147483648", "0x10"])
+    def test_default_dims_beyond_side_limit_is_usage_error(self, runner, tmp_path, entries, dims):
+        src = tmp_path / "labels.json"
+        src.write_text(json.dumps(entries))
+        out = tmp_path / "normalized.json"
+        result = runner.invoke(main, ["preprocess", "--labels", str(src), "--out", str(out),
+                                      "--default-dims", dims])
+        assert result.exit_code == 2
+        assert "Invalid value for '--default-dims'" in result.stderr
+        assert not out.exists()
+
+    def test_default_dims_at_side_limit_accepted(self, runner, tmp_path):
+        src = tmp_path / "labels.json"
+        src.write_text(json.dumps([bdd_entry("a.jpg", labels=[drivable_label("direct", RECT)])]))
+        out = tmp_path / "normalized.json"
+        result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out),
+                                 "--default-dims", "2147483647x1"])
+        assert result.exit_code == 0
+        (record,) = parse_labels(out.read_bytes())
+        assert (record.width, record.height) == (2**31 - 1, 1)
+
 
 class TestRasterize:
     def _write_labels(self, tmp_path, three_image_bdd):
@@ -173,18 +195,32 @@ class TestRasterize:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
 
-    @pytest.mark.parametrize("side, exit_code", [(2**31 - 1, 0), (2**31, 2), (2**70, 2)])
-    def test_image_side_capped_so_pixel_indices_fit_int64(self, runner, tmp_path, side, exit_code):
+    SIDE_ERROR = "error: record 0: image dimensions must be in"
+
+    @pytest.mark.parametrize("side, fmt, error", [
+        pytest.param(2**31 - 1, "rle", None, id="2147483647-0"),
+        pytest.param(2**31, "rle", SIDE_ERROR, id="2147483648-2"),
+        pytest.param(2**70, "rle", SIDE_ERROR, id="1180591620717411303424-2"),
+        # PGM is dense, so it is also capped at 2**28 pixels.
+        pytest.param(2**31 - 1, "pgm", "error: image 'a': mask 2147483647x2147483647 exceeds "
+                     "the dense limit", id="2147483647-pgm-2"),
+        pytest.param(2**14 + 1, "pgm", "error: image 'a': mask 16385x16385 exceeds the dense "
+                     "limit", id="16385-pgm-2"),
+        pytest.param(2**31, "pgm", SIDE_ERROR, id="2147483648-pgm-2"),
+    ])
+    def test_image_side_capped_so_pixel_indices_fit_int64(self, runner, tmp_path, side, fmt, error):
         src = tmp_path / "labels.json"
         src.write_text(json.dumps({"records": [{
             "image_id": "a", "width": side, "height": side,
             "polygons": [{"class_id": 1, "vertices": [[1, 1], [30, 1], [30, 20]]}],
         }]}))
         out = tmp_path / "masks"
-        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
-        assert result.exit_code == exit_code
-        if exit_code:
-            assert result.stderr.startswith("error: record 0: image dimensions must be in")
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out),
+                                 "--format", fmt])
+        assert result.exit_code == (2 if error else 0)
+        if error:
+            assert result.stderr.startswith(error)
+            assert not out.exists()
         else:
             payload = json.loads((out / "a.direct.rle.json").read_text())
             small = rasterize_polygon([(1, 1), (30, 1), (30, 20)], 64, 64)

@@ -38,6 +38,12 @@ def read_pgm(data: bytes):
     return pixels
 
 
+def assert_canonical(m):
+    """Masks from run operations skip RleMask's checks; they must pass them anyway."""
+    assert type(m.width) is type(m.height) is int
+    assert RleMask(m.width, m.height, m.runs) == m
+
+
 @st.composite
 def polygons_on_grids(draw):
     """(vertices, width, height): odd grids and hostile vertices for the rasterizer.
@@ -125,6 +131,8 @@ class TestRunsAgainstDense:
         assert mask_union([ra, rb]) == rle_encode(a | b)
         assert mask_union([rb, ra, rb]) == rle_encode(a | b)
         assert mask_union([ra]) == ra
+        for m in (ra, rb, mask_union([ra, rb]), mask_union([rb, ra, rb])):
+            assert_canonical(m)
 
     def test_union_rejects_mixed_sizes_and_nothing(self):
         with pytest.raises(DimensionMismatch):
@@ -147,6 +155,30 @@ class TestRunsAgainstDense:
         assert peak < 4 * 2**20
         small = rasterize_polygon(tri, 64, 64)
         assert (mask.count, box, iou) == (small.count, mask_to_bbox(small), 1.0)
+
+
+class TestInternalMasks:
+    def test_run_operations_skip_input_checks(self, monkeypatch):
+        calls = []
+        checked = RleMask.__post_init__
+        monkeypatch.setattr(RleMask, "__post_init__", lambda m: calls.append(m) or checked(m))
+        a = rasterize_polygon(TRI, 10, 10)
+        b = rle_encode(rle_decode(a))
+        c = mask_union([a, b, rasterize_polygon(RECT, 10, 10)])
+        assert calls == []
+        for m in (a, b, c):
+            assert_canonical(m)
+        assert len(calls) == 3  # the constructor itself still checks
+
+    @pytest.mark.parametrize("width, height", [(2**14 + 1, 2**14), (2**31 - 1, 2**31 - 1)])
+    def test_dense_edges_capped(self, width, height):
+        mask = RleMask(width, height, (width * height,))
+        with pytest.raises(DimensionMismatch, match="dense limit"):
+            rle_decode(mask)
+        sink = io.BytesIO()
+        with pytest.raises(DimensionMismatch, match="dense limit"):
+            write_pgm(mask, sink)
+        assert sink.getvalue() == b""
 
 
 class TestRasterize:
@@ -182,6 +214,14 @@ class TestRasterize:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             rasterize_polygon(TRI, 0, 10)
+        for bad in (10.5, True, "10"):
+            with pytest.raises((TypeError, ValueError)):
+                rasterize_polygon(TRI, bad, 10)
+            with pytest.raises((TypeError, ValueError)):
+                rasterize_polygon(TRI, 10, bad)
+        mask = rasterize_polygon(TRI, np.int64(10), np.int64(10))
+        assert_canonical(mask)
+        assert mask == rasterize_polygon(TRI, 10, 10)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_scanline_equals_oracle_random(self, seed):
@@ -210,6 +250,7 @@ class TestRasterize:
         poly, width, height = case
         mask = rasterize_polygon(poly, width, height)
         assert np.array_equal(rle_decode(mask), pixel_center_oracle(poly, width, height))
+        assert_canonical(mask)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_set_count_bounded_by_area_and_perimeter(self, seed):

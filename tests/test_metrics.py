@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -362,7 +364,38 @@ class TestEvaluate:
         assert a.encode() == b.encode()
 
 
+# SHA-256 of report_to_json + report_to_csv on fixed synth suites. The
+# default report bytes never change, so a refactor must leave these as they are.
+PINNED_REPORT_DIGESTS = {
+    (3, "box", False): "81035cbb8732ac09f5b2165e55c2ee0e4388494a297271d293b03c98272a0bf1",
+    (3, "box", True): "eff03777c83abe96f0191ce4630f7783065c6ea54b8b26639ed08f8339dd452c",
+    (3, "mask", False): "71afafc3892606f28f02453d2df63869c23f65d089c454c20df280b39944bdb9",
+    (3, "mask", True): "6df1c51a9f342026b1ac548cf86d7596c845f3706ece9760b1bac762689ebea8",
+    (17, "box", False): "840135497f628dbd92e89c23c03750483e8c8d4c8cd04646fce60e9b6aa24842",
+    (17, "box", True): "f0b760a8c1521735ef1d8172c6c986dcfbdf9ba5342e9d337f71caf62d380872",
+    (17, "mask", False): "1d2c0c8d0272cab47e85629572e654c161dcd64d0b33b985639831b4cc193328",
+    (17, "mask", True): "245ae02d477d6f142dcc0bc334403fe88b8840437d607da842e1a6f9f3b2a006",
+    (41, "box", False): "cbcd8df474a8741dac8ed201b6536361dc5555491ba9c2c2da146fa3a284dc7a",
+    (41, "box", True): "19229a83e2ff0af3b73cf0034982c85b3b46bbce82e2d0acdac9c7a42936279c",
+    (41, "mask", False): "3ea9f45f23178a2713ceff7332ff26aa0d2434fe7677eb878db2c9638bce2b7b",
+    (41, "mask", True): "41dc4c67215d867fa5e786c618b9c09a56029fd89ff13f05bf58eee66d4983ff",
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("strict_orphans", [False, True])
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    @pytest.mark.parametrize("seed", [3, 17, 41])
+    def test_report_bytes_pinned(self, seed, kind, strict_orphans):
+        params = SynthParams(seed=seed, n_images=16, image_size=(160, 96), jitter=5.0,
+                             drop_rate=0.1, fp_rate=0.6, score_noise=0.15)
+        index, dets = generate_suite(params)
+        dets += [replace(d, image_id="orphan") for d in dets[:3]]
+        report = evaluate(index, dets, MatchConfig(iou_kind=kind), strict_orphans=strict_orphans)
+        text = report_to_json(report) + report_to_csv(report)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == PINNED_REPORT_DIGESTS[seed, kind, strict_orphans]
+
     def test_json_shape(self):
         index, dets = _suite_with_conditions()
         report = evaluate(index, dets, MatchConfig())
@@ -449,3 +482,20 @@ class TestDetectionValidation:
     def test_geometry_type(self):
         with pytest.raises(TypeError):
             Detection("a", DIRECT, 0.5, "blob")
+
+    @pytest.mark.parametrize("class_id", [3, 0, "1", True, 2.5, None])
+    def test_class_rule_same_as_labels(self, class_id):
+        with pytest.raises((TypeError, ValueError)) as det_error:
+            Detection("a", class_id, 0.5, Box(0, 0, 1, 1))
+        with pytest.raises((TypeError, ValueError)) as label_error:
+            PolygonLabel(class_id, rect_poly(0, 0, 2, 2))
+        assert type(det_error.value) is type(label_error.value)
+        assert str(det_error.value) == str(label_error.value)
+
+    @pytest.mark.parametrize("image_id", ["", 7, None, b"a"])
+    def test_image_id_rule_same_as_records(self, image_id):
+        with pytest.raises(ValueError) as det_error:
+            Detection(image_id, DIRECT, 0.5, Box(0, 0, 1, 1))
+        with pytest.raises(ValueError) as record_error:
+            ImageRecord(image_id, 10, 10)
+        assert str(det_error.value) == str(record_error.value)
