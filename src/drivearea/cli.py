@@ -170,7 +170,7 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
             else:
                 payload = {"width": mask.width, "height": mask.height, "runs": list(mask.runs)}
                 with open(out / f"{stem}.rle.json", "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, separators=(",", ":"))
+                    fh.write(json.dumps(payload, separators=(",", ":")))
     click.echo(json.dumps({"written": len(jobs)}, separators=(",", ":")))
 
 
@@ -203,8 +203,8 @@ def cmd_eval(
         index = _load_index(labels, default_dims)
         filtered, _ = dataset.filter_drivable(index)
         cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
-        with open(predictions, "rb") as fh:  # lines decode one at a time, so errors have a line
-            dets = list(metrics.read_predictions(fh))
+        with open(predictions, "rb") as fh:  # read by lines, so errors have a line
+            dets = metrics._read_columns(fh)
         report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
     except DriveAreaError as exc:
         _fail(exc)

@@ -18,7 +18,7 @@ import codecs
 import io
 import json
 import re
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterator, Mapping
 
@@ -265,16 +265,10 @@ def _read_json(raw: bytes | IO[bytes]) -> Iterator[Any]:
     yield from doc[count:] if opened else [doc]
 
 
-@contextmanager
-def _refusals(where: str) -> Iterator[None]:
-    """Report a missing field, or a field that a constructor refuses, as a
-    SchemaViolation at ``where``."""
-    try:
-        yield
-    except KeyError as exc:
-        raise SchemaViolation(f"{where}: missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaViolation(f"{where}: {exc}") from exc
+def _refusal(where: str, exc: KeyError | TypeError | ValueError) -> SchemaViolation:
+    """A missing field, or a field that a constructor refuses, as a SchemaViolation at ``where``."""
+    reason = f"missing required field {exc}" if isinstance(exc, KeyError) else exc
+    return SchemaViolation(f"{where}: {reason}")
 
 
 def _parse_bdd_entry(
@@ -320,9 +314,11 @@ def _parse_bdd_entry(
                 # ordinary vertices, flagged so callers can tell.
                 warnings += 1
 
-    with _refusals(f"annotation entry {i}"):
+    try:
         conditions = ConditionKey.from_attributes(entry.get("attributes"))
         record = ImageRecord(entry["name"], *default_dims, conditions, tuple(labels))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _refusal(f"annotation entry {i}", exc) from exc
     return record, warnings, rejected and not labels
 
 
@@ -336,11 +332,15 @@ def _parse_normalized_record(i: int, rec: Any) -> ImageRecord:
     for j, poly in enumerate(polys):
         if not isinstance(poly, dict):
             raise SchemaViolation(f"record {i}, polygon {j}: expected an object")
-        with _refusals(f"record {i}, polygon {j}"):
+        try:
             labels.append(PolygonLabel(poly["class_id"], poly["vertices"]))
-    with _refusals(f"record {i}"):
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _refusal(f"record {i}, polygon {j}", exc) from exc
+    try:
         conditions = ConditionKey.from_attributes(rec)
         return ImageRecord(rec["image_id"], rec["width"], rec["height"], conditions, tuple(labels))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _refusal(f"record {i}", exc) from exc
 
 
 def parse_labels(

@@ -5,7 +5,7 @@ Masks are binary grids over pixel cells, held as row-major runs
 point (i + 0.5, j + 0.5) in continuous image coordinates, and rasterization
 asks whether that center lies inside the polygon under the even-odd rule.
 Dense ``(height, width)`` bool arrays appear only at the edges:
-:func:`rle_encode`, :func:`rle_decode` and :func:`write_pgm`.
+:func:`rle_encode` and :func:`rle_decode`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MAX_DENSE_PIXELS = 2**28  # a 16 384 x 16 384 frame: the largest dense array built
+_PGM_CHUNK = 2**20  # pixels per write of a PGM
 
 
 def _check_dense(width: int, height: int) -> None:
@@ -237,9 +238,10 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     """Intersection over union of two same-sized masks; 0 when both empty.
 
     The union comes from merging the runs, as in pycocotools' ``rleIou``,
-    so no grid is built; the intersection is |a| + |b| - |a or b|.
+    so no grid or union mask is built; the intersection is |a| + |b| - |a or b|.
     """
-    union = mask_union([a, b]).count
+    opens, closes = _union_edges([a, b])
+    union = int(closes.sum() - opens.sum())
     if union == 0:
         return 0.0
     return (a.count + b.count - union) / union
@@ -247,6 +249,12 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
 
 def mask_union(masks: Sequence[RleMask]) -> RleMask:
     """Pixelwise OR of one or more same-sized masks, merged run by run."""
+    opens, closes = _union_edges(masks)
+    return _from_toggles(masks[0].width, masks[0].height, np.concatenate((opens, closes)))
+
+
+def _union_edges(masks: Sequence[RleMask]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat offsets where the union of ``masks`` opens and where it closes, in order."""
     if not masks:
         raise ValueError("mask_union needs at least one mask")
     width, height = masks[0].width, masks[0].height
@@ -261,21 +269,26 @@ def mask_union(masks: Sequence[RleMask]) -> RleMask:
     n = np.arange(starts.size)
     opens = starts[np.searchsorted(ends, starts, side="left") == n]
     closes = ends[np.searchsorted(starts, ends, side="right") == n + 1]
-    return _from_toggles(width, height, np.concatenate((opens, closes)))
+    return opens, closes
 
 
 def box_iou(a: Box, b: Box) -> float:
     """Continuous-area intersection over union; 0 when the union has no area."""
-    iw = min(a.x2, b.x2) - max(a.x, b.x)
-    ih = min(a.y2, b.y2) - max(a.y, b.y)
-    if iw <= 0 or ih <= 0:
-        inter = 0.0
-    else:
-        inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    pair = np.array([[a.x, a.y, a.w, a.h], [b.x, b.y, b.w, b.h]])
+    return float(_box_iou_matrix(pair[:1], pair[1:])[0, 0])
+
+
+def _box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`box_iou` of every row of ``a`` with every row of ``b``, both
+    (n, 4) arrays of x, y, w, h. A row of NaN scores NaN, below any threshold."""
+    ax, ay, aw, ah = (c[:, None] for c in a.T)
+    bx, by, bw, bh = b.T
+    with np.errstate(all="ignore"):  # inf and NaN from huge boxes compare as floats do
+        iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = np.where((iw <= 0) | (ih <= 0), 0.0, iw * ih)
+        union = aw * ah + bw * bh - inter
+        return np.where(union <= 0, 0.0, inter / union)
 
 
 def mask_to_bbox(m: RleMask) -> Box | None:
@@ -325,7 +338,12 @@ def polygon_perimeter(poly) -> float:
 
 
 def write_pgm(m: RleMask, sink: BinaryIO) -> None:
-    """Write a mask as binary PGM (P5, maxval 255, set pixels = 255); nothing if too large."""
-    pixels = rle_decode(m).astype(np.uint8) * 255
+    """Write a mask as binary PGM (P5, maxval 255, set pixels = 255), a chunk at a
+    time straight from the runs; nothing if too large."""
+    _check_dense(m.width, m.height)
     sink.write(f"P5\n{m.width} {m.height}\n255\n".encode("ascii"))
-    sink.write(pixels.tobytes())
+    bounds = np.concatenate(([0], np.cumsum(m.runs, dtype=np.int64)))
+    values = (np.arange(len(m.runs)) % 2 * 255).astype(np.uint8)
+    for lo in range(0, m.width * m.height, _PGM_CHUNK):
+        lengths = np.diff(np.clip(bounds, lo, lo + _PGM_CHUNK))  # each run's pixels in the chunk
+        sink.write(np.repeat(values, lengths).tobytes())

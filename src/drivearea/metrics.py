@@ -1,5 +1,10 @@
 """Detection matching, precision-recall curves, interpolated AP, and reports.
 
+Evaluation runs on columns (image, class, score, box, mask), built from
+:class:`Detection` objects or read straight from a prediction file. Each
+image's IoU matrix is computed once, and every stratum ranks its detections
+by filtering one stable sort by score.
+
 AP uses all-point interpolation: every precision value is replaced by the
 maximum precision at any equal-or-higher recall, and the resulting step
 function is integrated exactly over recall. The integration runs on exact
@@ -15,20 +20,16 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import islice
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
-from .dataset import _class_id, _image_id, _refusals
-from .errors import (
-    GeometryMismatch,
-    MalformedInput,
-    NoGroundTruth,
-    SchemaViolation,
-)
-from .geometry import (
-    Box, RleMask, _number, box_iou, mask_iou, mask_to_bbox, rasterize_polygon,
-)
+from .dataset import _DECODER, _class_id, _image_id, _refusal
+from .errors import GeometryMismatch, InvalidRle, MalformedInput, NoGroundTruth, SchemaViolation
+from .geometry import Box, RleMask, _box_iou_matrix, _number, mask_iou, mask_to_bbox
+from .geometry import rasterize_polygon
 
 __all__ = [
     "Detection",
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+_BATCH = 4096  # prediction lines decoded and checked together
+_FLOAT_EXACT_RANKS = 2**26  # see average_precision
 
 
 @dataclass(frozen=True)
@@ -93,29 +97,83 @@ class MatchResult:
     gt_matched: tuple[bool, ...]
 
 
-def _det_geometry(det: Detection, record: ImageRecord, kind: str) -> Box | RleMask | None:
-    """Detection geometry in the requested kind; None for an empty mask."""
-    if isinstance(det.geometry, RleMask):
-        rle = det.geometry
-        if (rle.width, rle.height) != (record.width, record.height):
+@dataclass(frozen=True)
+class _Columns:
+    """Detections as columns; row i is the i-th detection in input order."""
+
+    names: tuple[str, ...]  # the distinct image ids
+    image: np.ndarray  # index into names
+    class_id: np.ndarray
+    score: np.ndarray
+    box: np.ndarray  # (n, 4) x, y, w, h; NaN on the rows of mask detections
+    mask: list[RleMask | None]
+
+
+def _columns(batches: Iterable[tuple]) -> _Columns:
+    """Columns from batches of (image ids, classes, scores, boxes, masks)."""
+    codes: dict[str, int] = {}
+    image, class_id, score = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    box, mask = [np.zeros((0, 4))], []
+    for ids, classes, scores, boxes, masks in batches:
+        image.append(np.array([codes.setdefault(i, len(codes)) for i in ids], dtype=np.int64))
+        class_id.append(np.array(classes, dtype=np.int64))
+        score.append(np.array(scores, dtype=np.float64))
+        box.append(np.array(boxes, dtype=np.float64).reshape(-1, 4))
+        mask += masks
+    return _Columns(tuple(codes), *map(np.concatenate, (image, class_id, score, box)), mask)
+
+
+def _xywh(box: Box | None) -> tuple[float, ...]:
+    return (np.nan,) * 4 if box is None else (box.x, box.y, box.w, box.h)
+
+
+def _detection_batch(dets: Iterable[Detection]) -> tuple:
+    dets = list(dets)
+    geoms = [d.geometry for d in dets]
+    return ([d.image_id for d in dets], [d.class_id for d in dets], [d.score for d in dets],
+            [_xywh(g if isinstance(g, Box) else None) for g in geoms],
+            [g if isinstance(g, RleMask) else None for g in geoms])
+
+
+def _match(
+    record: ImageRecord, cols: _Columns, ranked: np.ndarray, cfg: MatchConfig
+) -> tuple[np.ndarray, list[bool]]:
+    """TP flags of one image's detections (rows ``ranked``, in rank order)
+    and the ground truths matched, by the rule of :func:`match_detections`
+    on an IoU matrix computed once."""
+    for i in np.sort(ranked).tolist():  # the first bad detection in input order
+        if (m := cols.mask[i]) is not None and (m.width, m.height) != (record.width, record.height):
             raise GeometryMismatch(
-                f"detection mask {rle.width}x{rle.height} does not match "
+                f"detection mask {m.width}x{m.height} does not match "
                 f"image {record.image_id} ({record.width}x{record.height})"
             )
-        return rle if kind == "mask" else mask_to_bbox(rle)
-    if kind == "mask":
-        raise GeometryMismatch(
-            f"iou_kind 'mask' needs mask geometry, detection on {det.image_id} has only a box"
-        )
-    return det.geometry
-
-
-def _pair_iou(a, b) -> float:
-    if a is None or b is None:
-        return 0.0
-    if isinstance(a, Box):
-        return box_iou(a, b)
-    return mask_iou(a, b)
+        if m is None and cfg.iou_kind == "mask":
+            raise GeometryMismatch(
+                f"iou_kind 'mask' needs mask geometry, detection on {record.image_id} has only a box"
+            )
+    masks = [cols.mask[i] for i in ranked.tolist()]
+    gt_masks = [rasterize_polygon(label, record.width, record.height) for label in record.labels]
+    gt_class = np.array([label.class_id for label in record.labels], dtype=np.int64)
+    same_class = cols.class_id[ranked][:, None] == gt_class
+    if cfg.iou_kind == "mask":
+        iou = np.zeros(same_class.shape)
+        for a, g in zip(*np.nonzero(same_class)):
+            iou[a, g] = mask_iou(masks[a], gt_masks[g])
+    else:  # masks count by their tight boxes; an empty mask has none (NaN)
+        det_box = cols.box[ranked]
+        for a, m in enumerate(masks):
+            if m is not None:
+                det_box[a] = _xywh(mask_to_bbox(m))
+        gt_box = np.array([_xywh(mask_to_bbox(m)) for m in gt_masks]).reshape(-1, 4)
+        iou = _box_iou_matrix(det_box, gt_box)
+    options: list[list[int]] = [[] for _ in masks]  # only an IoU at the threshold can match
+    for a, g in zip(*np.nonzero(same_class & (iou >= cfg.iou_threshold))):
+        options[a].append(int(g))
+    is_tp, gt_matched = np.zeros(len(masks), dtype=bool), [False] * len(gt_masks)
+    for a, row in enumerate(iou.tolist()):
+        if free := [g for g in options[a] if not gt_matched[g]]:
+            is_tp[a] = gt_matched[max(free, key=row.__getitem__)] = True  # ties: lower index
+    return is_tp, gt_matched
 
 
 def match_detections(
@@ -137,30 +195,11 @@ def match_detections(
             raise ValueError(
                 f"detection for {det.image_id!r} matched against record {record.image_id!r}"
             )
-    gt_masks = [rasterize_polygon(label, record.width, record.height) for label in record.labels]
-    if cfg.iou_kind == "box":
-        gt_geoms: list[Box | RleMask | None] = [mask_to_bbox(m) for m in gt_masks]
-    else:
-        gt_geoms = list(gt_masks)
-    det_geoms = [_det_geometry(det, record, cfg.iou_kind) for det in dets]
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    det_is_tp = [False] * len(dets)
-    gt_matched = [False] * len(record.labels)
-    for i in order:
-        best_iou = 0.0
-        best_gt = -1
-        for g, label in enumerate(record.labels):
-            if gt_matched[g] or label.class_id != dets[i].class_id:
-                continue
-            iou = _pair_iou(det_geoms[i], gt_geoms[g])
-            if iou > best_iou:
-                best_iou = iou
-                best_gt = g
-        if best_gt >= 0 and best_iou >= cfg.iou_threshold:
-            det_is_tp[i] = True
-            gt_matched[best_gt] = True
-    return MatchResult(det_is_tp=tuple(det_is_tp), gt_matched=tuple(gt_matched))
+    cols = _columns([_detection_batch(dets)])
+    ranked = np.argsort(-cols.score, kind="stable")
+    det_is_tp = np.zeros(len(ranked), dtype=bool)
+    det_is_tp[ranked], gt_matched = _match(record, cols, ranked, cfg)
+    return MatchResult(det_is_tp=tuple(det_is_tp.tolist()), gt_matched=tuple(gt_matched))
 
 
 @dataclass(frozen=True)
@@ -196,8 +235,8 @@ def precision_recall(
         raise ValueError("n_gt must be >= 0")
     if n_gt == 0:
         return PrCurve(n_gt=0)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return PrCurve(n_gt, tuple(accumulate(1 if tp_flags[i] else 0 for i in order)))
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    return PrCurve(n_gt, tuple(np.cumsum(np.asarray(tp_flags, dtype=bool)[order]).tolist()))
 
 
 def average_precision(curve: PrCurve) -> float | None:
@@ -206,17 +245,31 @@ def average_precision(curve: PrCurve) -> float | None:
     Each recall value takes the maximum precision at that recall or higher,
     and the step function is integrated exactly. Returns None when there is
     no ground truth (AP undefined), 0.0 for no detections.
+
+    The envelope's steps each end on a rank that attains it, and only those
+    become fractions. If 0 <= TP_k <= k <= 2**26, distinct precisions TP_k / k
+    differ by at least 2**-52, more than a float step below 1, so floats order
+    them exactly; other curves compare by integer cross-multiplication.
     """
     if curve.n_gt == 0:
         return None
-    tps = curve.tp_cumulative
-    total = Fraction(0)
-    running = Fraction(0)
-    for k in range(len(tps), 0, -1):
-        running = max(running, Fraction(tps[k - 1], k))
-        prev_tp = tps[k - 2] if k > 1 else 0
-        if tps[k - 1] > prev_tp:
-            total += (tps[k - 1] - prev_tp) * running
+    tp = np.array(curve.tp_cumulative, dtype=np.int64)
+    if tp.size == 0:
+        return 0.0
+    rank = np.arange(1, tp.size + 1)
+    if tp.size <= _FLOAT_EXACT_RANKS and ((0 <= tp) & (tp <= rank)).all():
+        envelope = np.maximum.accumulate((tp / rank)[::-1])[::-1]
+        ends = [*(envelope[:-1] != envelope[1:]).nonzero()[0].tolist(), tp.size - 1]
+    else:
+        ends, counts = [tp.size - 1], tp.tolist()
+        for k in range(tp.size - 2, -1, -1):  # TP_i / i > TP_j / j iff TP_i * j > TP_j * i
+            if counts[k] * (ends[-1] + 1) > counts[ends[-1]] * (k + 1):
+                ends.append(k)
+        ends.reverse()
+    gain = np.maximum(tp - np.concatenate(([0], tp[:-1])), 0)  # new true positives at each rank
+    weights = np.add.reduceat(gain, [0, *(e + 1 for e in ends[:-1])]).tolist()
+    total = sum((Fraction(max(int(tp[e]), 0) * w, e + 1) for e, w in zip(ends, weights) if w),
+                Fraction(0))
     return float(total / curve.n_gt)
 
 
@@ -263,73 +316,55 @@ def evaluate(
     Detections whose image_id is not in the index are warned about and
     dropped, or counted as false positives of their class when
     ``strict_orphans`` is set. Stratified results re-rank detections within
-    each condition stratum.
+    each condition stratum. ``drivearea eval`` passes the columns it reads
+    from a prediction file in place of ``dets``.
     """
+    cols = dets if isinstance(dets, _Columns) else _columns([_detection_batch(dets)])
     records = index.records
     row_of = {r.image_id: row for row, r in enumerate(records)}
-    dets_of: list[list[int]] = [[] for _ in records]
-    orphans: list[int] = []
-    for i, det in enumerate(dets):
-        row = row_of.get(det.image_id)
-        if row is None:
-            orphans.append(i)
-        else:
-            dets_of[row].append(i)
+    row = np.array([row_of.get(name, -1) for name in cols.names], dtype=np.int64)[cols.image]
+    orphans = int(np.count_nonzero(row < 0))
     if orphans and not strict_orphans:
-        log.warning("dropping %d detections for images not in the index", len(orphans))
+        log.warning("dropping %d detections for images not in the index", orphans)
 
-    det_is_tp = [False] * len(dets)
-    for record, idxs in zip(records, dets_of):
-        result = match_detections([dets[i] for i in idxs], record, cfg)
-        for i, tp in zip(idxs, result.det_is_tp):
-            det_is_tp[i] = tp
+    ranked = np.argsort(-cols.score, kind="stable")  # the one ranking: ties keep input order
+    by_image = ranked[np.argsort(row[ranked], kind="stable")]  # rank order within each image
+    starts = np.searchsorted(row, np.arange(len(records) + 1), sorter=by_image)
+    det_is_tp = np.zeros(len(row), dtype=bool)
+    for r, record in enumerate(records):
+        mine = by_image[starts[r]:starts[r + 1]]
+        if mine.size:
+            det_is_tp[mine] = _match(record, cols, mine, cfg)[0]
 
-    def _sweep(rows: Sequence[int], extra: Sequence[int] = ()) -> StratumResult:
-        """Per-class AP over the detections of ``rows`` plus ``extra``.
+    classes = sorted(CLASS_NAMES)
+    gt_count = np.array([[sum(label.class_id == c for label in r.labels) for c in classes]
+                         for r in records]).reshape(-1, len(classes))
+    ranked_row, ranked_class, ranked_tp = row[ranked], cols.class_id[ranked], det_is_tp[ranked]
 
-        Detections are put back in input order, so score ties rank as in
-        the input.
-        """
-        picked = sorted([*extra, *(i for row in rows for i in dets_of[row])])
-        n_gt = {c: 0 for c in CLASS_NAMES}
-        for row in rows:
-            for label in records[row].labels:
-                n_gt[label.class_id] += 1
-        per_class: dict[int, float | None] = {}
-        for cls in sorted(CLASS_NAMES):
-            mine = [i for i in picked if dets[i].class_id == cls]
-            curve = precision_recall(
-                [dets[i].score for i in mine], [det_is_tp[i] for i in mine], n_gt[cls]
-            )
-            per_class[cls] = average_precision(curve)
-        return StratumResult(
-            map=mean_ap(per_class) if any(n_gt.values()) else None,
-            n_images=len(rows),
-            n_gt=sum(n_gt.values()),
-            per_class_ap=per_class,
-        )
+    def _sweep(in_stratum: np.ndarray, with_orphans: bool = False) -> StratumResult:
+        """Per-class AP over the detections on the rows ``in_stratum`` marks,
+        ranked as in the one overall ranking."""
+        picked = np.append(in_stratum, with_orphans)[ranked_row]  # row -1 reads the orphan flag
+        n_gt = gt_count[in_stratum].sum(axis=0).tolist()
+        curves = {c: np.cumsum(ranked_tp[picked & (ranked_class == c)]) for c in classes}
+        per_class = {c: average_precision(PrCurve(n, tuple(curves[c].tolist())))
+                     for c, n in zip(classes, n_gt)}
+        mean = mean_ap(per_class) if any(n_gt) else None
+        return StratumResult(mean, int(np.count_nonzero(in_stratum)), sum(n_gt), per_class)
 
-    overall = _sweep(range(len(records)), orphans if strict_orphans else ())
+    overall = _sweep(np.ones(len(records), dtype=bool), strict_orphans)
     if overall.n_gt == 0:
         raise NoGroundTruth("index has no labeled records to evaluate against")
 
     strata: dict[str, dict[str, StratumResult]] = {}
     for axis in CONDITION_AXES:
-        by_tag: dict[str, list[int]] = {}
-        for row, record in enumerate(records):
-            by_tag.setdefault(record.conditions.axis(axis), []).append(row)
-        strata[axis] = {tag: _sweep(by_tag[tag]) for tag in sorted(by_tag)}
+        tags = np.array([record.conditions.axis(axis) for record in records])
+        strata[axis] = {tag: _sweep(tags == tag) for tag in sorted(set(tags.tolist()))}
 
     return EvalReport(
-        config=cfg,
-        strict_orphans=strict_orphans,
-        n_images=len(records),
-        n_gt=overall.n_gt,
-        n_detections=len(dets),
-        orphan_detections=len(orphans),
-        per_class_ap=overall.per_class_ap,
-        map=overall.map,
-        strata=strata,
+        config=cfg, strict_orphans=strict_orphans, n_images=len(records), n_gt=overall.n_gt,
+        n_detections=len(row), orphan_detections=orphans, per_class_ap=overall.per_class_ap,
+        map=overall.map, strata=strata,
     )
 
 
@@ -395,35 +430,18 @@ def report_to_csv(report: EvalReport) -> str:
     return buf.getvalue()
 
 
-def _detection_from_obj(n: int, obj: object) -> Detection:
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"prediction line {n}: expected an object")
-    has_bbox = "bbox" in obj
-    if has_bbox == ("rle" in obj):
-        raise SchemaViolation(f"prediction line {n}: exactly one of 'bbox' or 'rle' required")
-    bbox, rle = obj.get("bbox"), obj.get("rle")
-    if has_bbox and not (isinstance(bbox, list) and len(bbox) == 4):
-        raise SchemaViolation(f"prediction line {n}: bbox must be [x, y, w, h]")
-    if not has_bbox and not isinstance(rle, dict):
-        raise SchemaViolation(f"prediction line {n}: rle must be an object")
-    try:
-        if has_bbox:
-            geometry: Box | RleMask = Box(*bbox)
-        else:
-            geometry = RleMask(rle["width"], rle["height"], rle["runs"])
-        return Detection(obj["image_id"], obj["class_id"], obj["score"], geometry)
-    except (KeyError, TypeError, ValueError):  # a `with` here would cost every good line
-        with _refusals(f"prediction line {n}"):
-            raise
-
-
 def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
     """Stream detections from JSON Lines, one object per line.
 
     Accepts any iterable of lines (an open file works), so arbitrarily large
     prediction files never need to fit in memory. Byte lines are UTF-8.
     """
-    for n, line in enumerate(source, start=1):
+    yield from _detections(enumerate(source, start=1))
+
+
+def _detections(lines: Iterable[tuple[int, bytes | str]]) -> Iterator[Detection]:
+    """Detections from numbered lines, checked one line at a time."""
+    for n, line in lines:
         try:
             stripped = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
             if not stripped:
@@ -432,7 +450,67 @@ def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
         except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge int, deep nesting
             reason = getattr(exc, "msg", exc)
             raise MalformedInput(f"prediction line {n}: invalid JSON: {reason}") from exc
-        yield _detection_from_obj(n, obj)
+        if not isinstance(obj, dict):
+            raise SchemaViolation(f"prediction line {n}: expected an object")
+        has_bbox = "bbox" in obj
+        if has_bbox == ("rle" in obj):
+            raise SchemaViolation(f"prediction line {n}: exactly one of 'bbox' or 'rle' required")
+        bbox, rle = obj.get("bbox"), obj.get("rle")
+        if has_bbox and not (isinstance(bbox, list) and len(bbox) == 4):
+            raise SchemaViolation(f"prediction line {n}: bbox must be [x, y, w, h]")
+        if not has_bbox and not isinstance(rle, dict):
+            raise SchemaViolation(f"prediction line {n}: rle must be an object")
+        try:
+            if has_bbox:
+                geometry: Box | RleMask = Box(*bbox)
+            else:
+                geometry = RleMask(rle["width"], rle["height"], rle["runs"])
+            det = Detection(obj["image_id"], obj["class_id"], obj["score"], geometry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _refusal(f"prediction line {n}", exc) from exc
+        yield det
+
+
+def _accepted_batch(lines: list[tuple[int, bytes | str]]) -> tuple | None:
+    """The detections on ``lines`` as a column batch, when every line passes a
+    conservative test that :func:`_detections` would pass as well:
+    exact JSON types (str ids, int classes, int or float numbers), finite
+    numbers, scores in [0, 1] and boxes of non-negative size; else None."""
+    try:
+        texts = [t for _, line in lines if (t := (
+            line.decode("utf-8") if isinstance(line, bytes) else line).strip())]
+        decoded = [_DECODER.raw_decode(t) for t in texts]
+        objs = [obj for obj, _ in decoded]
+        if [end for _, end in decoded] != list(map(len, texts)) or {dict} != {*map(type, objs)}:
+            return None
+        ids, classes, scores = ([o[key] for o in objs] for key in ("image_id", "class_id", "score"))
+        bboxes = [o["bbox"] for o in objs if "bbox" in o]
+        if not (all(("bbox" in o) != ("rle" in o) for o in objs)
+                and {list}.issuperset(map(type, bboxes)) and {4}.issuperset(map(len, bboxes))
+                and {str}.issuperset(map(type, ids)) and all(ids)
+                and {int}.issuperset(map(type, classes)) and CLASS_NAMES.keys() >= {*classes}
+                and {int, float}.issuperset(map(type, [*scores, *(v for b in bboxes for v in b)]))
+                and all(0 <= v <= 1 for v in scores)):  # NaN fails too
+            return None
+        box = np.full((len(objs), 4), np.nan)
+        is_box = np.array(["bbox" in o for o in objs])
+        box[is_box] = np.array(bboxes, dtype=np.float64).reshape(-1, 4)
+        masks = [RleMask(o["rle"]["width"], o["rle"]["height"], o["rle"]["runs"])
+                 if "rle" in o else None for o in objs]
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, InvalidRle):
+        return None
+    sizes = box[is_box]
+    return (ids, classes, scores, box, masks) if (
+        np.isfinite(sizes).all() and (sizes[:, 2:] >= 0).all()) else None
+
+
+def _read_columns(source: Iterable[bytes | str]) -> _Columns:
+    """:func:`read_predictions` into columns, a batch of lines at a time. A
+    batch that misses the accept test is read line by line, so a bad line
+    raises exactly the error that read_predictions raises."""
+    lines = enumerate(source, start=1)
+    return _columns(_accepted_batch(batch) or _detection_batch(_detections(batch))
+                    for batch in iter(lambda: list(islice(lines, _BATCH)), []))
 
 
 def write_predictions(dets: Iterable[Detection], sink: IO[str]) -> int:

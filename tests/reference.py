@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -151,3 +152,38 @@ def normalized_bytes(index) -> bytes:
         ]
     }
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def box_iou_reference(a, b) -> float:
+    """IoU of two (x, y, w, h) boxes in scalar float arithmetic, in the
+    operation order ``geometry.box_iou`` has always used."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    iw = min(ax + aw, bx + bw) - max(ax, bx)
+    ih = min(ay + ah, by + bh) - max(ay, by)
+    inter = 0.0 if iw <= 0 or ih <= 0 else iw * ih
+    union = aw * ah + bw * bh - inter
+    return 0.0 if union <= 0 else inter / union
+
+
+def average_precision_reference(tp_cumulative, n_gt: int):
+    """All-point interpolated AP with one Fraction per rank: walk the ranks
+    from the last, keep the running maximum precision, and add it once for
+    every new true positive."""
+    if n_gt == 0:
+        return None
+    total = Fraction(0)
+    running = Fraction(0)
+    for k in range(len(tp_cumulative), 0, -1):
+        running = max(running, Fraction(tp_cumulative[k - 1], k))
+        prev_tp = tp_cumulative[k - 2] if k > 1 else 0
+        if tp_cumulative[k - 1] > prev_tp:
+            total += (tp_cumulative[k - 1] - prev_tp) * running
+    return float(total / n_gt)
+
+
+def pgm_reference(width: int, height: int, runs) -> bytes:
+    """The binary PGM of an RLE mask, built from its dense decoded frame."""
+    bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(height, width)
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    return header + (bits.astype(np.uint8) * 255).tobytes()

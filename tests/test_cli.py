@@ -7,8 +7,8 @@ from click.testing import CliRunner
 
 from drivearea.cli import main
 from drivearea.dataset import parse_labels
-from drivearea.geometry import RleMask, rasterize_polygon, rle_decode
-from drivearea.metrics import MatchConfig, read_predictions
+from drivearea.geometry import Box, RleMask, mask_to_bbox, rasterize_polygon, rle_decode
+from drivearea.metrics import Detection, MatchConfig, read_predictions
 from drivearea.synth import SynthParams, generate_suite, oracle_map
 
 from conftest import RECT, bdd_entry, drivable_label
@@ -311,6 +311,26 @@ class TestEval:
         assert abs(report["map"] - oracle_map(index, dets, MatchConfig())) <= 1e-9
         lines = csv_out.read_text().splitlines()
         assert lines[0] == "axis,tag,n_images,n_gt,ap_direct,ap_alternative,map"
+
+    def test_box_predictions_build_no_detection_objects(self, runner, tmp_path, monkeypatch):
+        labels, masks = self._synth_files(runner, tmp_path, corrupt=True)
+        preds = tmp_path / "boxes.jsonl"
+        lines = []
+        for det in read_predictions(masks.read_bytes().splitlines()):
+            box = mask_to_bbox(det.geometry) or Box(0, 0, 1, 1)
+            lines.append(json.dumps({"image_id": det.image_id, "class_id": det.class_id,
+                                     "score": det.score, "bbox": [box.x, box.y, box.w, box.h]}))
+        preds.write_text("\n".join(lines) + "\n")
+        calls = []
+        checked = Detection.__post_init__
+        monkeypatch.setattr(Detection, "__post_init__", lambda d: calls.append(d) or checked(d))
+        out = tmp_path / "report.json"
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["n_detections"] == len(lines)
+        assert calls == []
+        assert len(list(read_predictions(preds.read_bytes().splitlines()))) == len(calls) > 0
 
     def test_reports_deterministic_without_stamp(self, runner, tmp_path):
         labels, preds = self._synth_files(runner, tmp_path, corrupt=True)

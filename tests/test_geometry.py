@@ -1,11 +1,15 @@
+import hashlib
 import io
+import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivearea import geometry
 from drivearea.errors import DegeneratePolygon, DimensionMismatch, InvalidRle
 from drivearea.geometry import (
     Box,
@@ -22,7 +26,7 @@ from drivearea.geometry import (
     write_pgm,
 )
 
-from reference import pixel_center_oracle, star_polygon
+from reference import box_iou_reference, pgm_reference, pixel_center_oracle, star_polygon
 
 RECT = [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0)]
 TRI = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]
@@ -359,6 +363,23 @@ class TestBoxIou:
     def test_identity_iff_equal(self):
         assert box_iou(Box(0, 0, 2, 2), Box(0, 0, 2, 2.0000001)) < 1.0
 
+    @given(st.lists(st.tuples(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308),
+                              st.floats(0, 1e308), st.floats(0, 1e308)), min_size=1, max_size=6),
+           st.lists(st.tuples(st.floats(-60, 60), st.floats(-60, 60),
+                              st.floats(0, 40), st.floats(0, 40)), min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_bit_identical_to_scalar_arithmetic(self, huge, small, rnd):
+        # Huge boxes overflow to inf and NaN, which must compare as they always did.
+        boxes = huge + small
+        rnd.shuffle(boxes)
+        rows = boxes[: len(boxes) // 2 + 1]
+        got = geometry._box_iou_matrix(np.array(rows), np.array(boxes))
+        for (i, a), (j, b) in itertools.product(enumerate(rows), enumerate(boxes)):
+            want = box_iou_reference(a, b)
+            assert got[i, j] == want or (math.isnan(got[i, j]) and math.isnan(want))
+            assert box_iou(Box(*a), Box(*b)) == got[i, j] or math.isnan(want)
+
 
 class TestMaskToBbox:
     def test_single_pixel(self):
@@ -436,7 +457,43 @@ class TestPolygonMeasures:
         assert polygon_perimeter([(0, 0), (4, 0), (4, 3), (0, 3)]) == 14.0
 
 
+class _DigestSink:
+    """A binary sink that keeps only a digest and a byte count."""
+
+    def __init__(self):
+        self.digest, self.size = hashlib.sha256(), 0
+
+    def write(self, data) -> None:
+        self.digest.update(data)
+        self.size += len(data)
+
+
 class TestPgm:
+    def test_large_frame_peak_below_quarter_frame(self):
+        size = 4096
+        mask = rasterize_polygon(star_polygon(np.random.default_rng(5), 40, 2048, 2048, 600, 2000),
+                                 size, size)
+        sink = _DigestSink()
+        tracemalloc.start()
+        try:
+            write_pgm(mask, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size * size / 4
+        want = pgm_reference(mask.width, mask.height, mask.runs)
+        assert (sink.size, sink.digest.hexdigest()) == (len(want), hashlib.sha256(want).hexdigest())
+
+    @given(st.integers(0, 2**32), st.integers(1, 24), st.integers(1, 24), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_dense_oracle_across_chunks(self, seed, w, h, chunk):
+        rng = np.random.default_rng(seed)
+        mask = rle_encode(rng.random((h, w)) < rng.random())
+        buf = io.BytesIO()
+        with mock.patch.object(geometry, "_PGM_CHUNK", chunk):
+            write_pgm(mask, buf)
+        assert buf.getvalue() == pgm_reference(w, h, mask.runs)
+
     def test_export_roundtrip(self):
         mask = rasterize_polygon(TRI, 12, 9)
         buf = io.BytesIO()

@@ -1,11 +1,16 @@
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from drivearea import metrics
 
 from drivearea.dataset import (
     ALTERNATIVE,
@@ -15,11 +20,14 @@ from drivearea.dataset import (
     ImageRecord,
     PolygonLabel,
 )
-from drivearea.errors import GeometryMismatch, MalformedInput, NoGroundTruth, SchemaViolation
-from drivearea.geometry import Box, RleMask, rasterize_polygon
+from drivearea.errors import (
+    DriveAreaError, GeometryMismatch, MalformedInput, NoGroundTruth, SchemaViolation,
+)
+from drivearea.geometry import Box, RleMask, mask_to_bbox, rasterize_polygon
 from drivearea.metrics import (
     Detection,
     MatchConfig,
+    PrCurve,
     average_precision,
     evaluate,
     match_detections,
@@ -31,6 +39,8 @@ from drivearea.metrics import (
     write_predictions,
 )
 from drivearea.synth import SynthParams, generate_suite, oracle_map
+
+from reference import average_precision_reference
 
 
 def rect_poly(x, y, w, h):
@@ -108,6 +118,25 @@ class TestMatchDetections:
         det = Detection("a", DIRECT, 0.9, RleMask(8, 8, (64,)))
         with pytest.raises(GeometryMismatch):
             match_detections([det], record, MatchConfig())
+
+    def test_equal_iou_takes_lower_gt_index(self):
+        record = record_with_rects("a", [(0, 0, 10, 10), (0, 0, 10, 10)])
+        result = match_detections([box_det("a", 0, 0, 10, 10, 0.9)], record, MatchConfig())
+        assert result.gt_matched == (True, False)
+
+    def test_iou_equal_to_threshold_matches(self):
+        record = record_with_rects("a", [(0, 0, 10, 10)])
+        result = match_detections([box_det("a", 0, 0, 5, 10, 0.9)], record, MatchConfig())
+        assert result.det_is_tp == (True,)  # IoU 50 / 100 is exactly 0.5
+
+    def test_first_bad_detection_in_input_order_is_reported(self):
+        record = record_with_rects("a", [(0, 0, 10, 10)])
+        dets = [Detection("a", DIRECT, 0.1, RleMask(5, 5, (25,))), box_det("a", 0, 0, 1, 1, 0.9)]
+        cfg = MatchConfig(iou_kind="mask")
+        for check in (lambda: match_detections(dets, record, cfg),
+                      lambda: evaluate(DatasetIndex((record,)), dets, cfg)):
+            with pytest.raises(GeometryMismatch, match="detection mask 5x5"):
+                check()
 
     def test_wrong_image_rejected(self):
         record = record_with_rects("a", [(0, 0, 10, 10)])
@@ -203,6 +232,37 @@ class TestAveragePrecision:
         curve = precision_recall([0.9, 0.8], [True, False], n_gt=1)
         assert all(r <= 1.0 for r, _ in curve.points)
         assert curve.points[-1][0] == 1.0
+
+
+def flag_sequences():
+    """TP flags by rank: random, periodic (long runs of equal precision),
+    long single-valued runs, all-TP and no-TP, up to 20 000 ranks."""
+    periodic = st.builds(lambda pattern, reps: pattern * reps,
+                         st.lists(st.booleans(), min_size=1, max_size=6), st.integers(1, 3000))
+    runs = st.lists(st.tuples(st.booleans(), st.integers(1, 5000)), max_size=6).map(
+        lambda runs: [flag for flag, n in runs for _ in range(n)][:20000])
+    uniform = st.builds(lambda flag, n: [flag] * n, st.booleans(), st.integers(0, 20000))
+    return st.one_of(st.lists(st.booleans(), max_size=400), periodic, runs, uniform)
+
+
+class TestEnvelopeAp:
+    @given(flag_sequences(), st.integers(0, 40))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_fraction_per_rank(self, flags, missed):
+        tps = tuple(itertools.accumulate(map(int, flags)))
+        n_gt = (tps[-1] if tps else 0) + missed
+        want = average_precision_reference(tps, n_gt)
+        assert average_precision(PrCurve(n_gt, tps)) == want
+        with mock.patch.object(metrics, "_FLOAT_EXACT_RANKS", 0):  # the exact comparisons
+            assert average_precision(PrCurve(n_gt, tps)) == want
+
+    @given(st.lists(st.integers(-3, 30), max_size=60), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_counts_equal_fraction_per_rank(self, tps, n_gt):
+        # Counts no sweep produces (falling, negative, above the rank) take
+        # the exact comparisons and still give the same rational.
+        want = average_precision_reference(tps, n_gt)
+        assert average_precision(PrCurve(n_gt, tuple(tps))) == want
 
 
 class TestMeanAp:
@@ -468,6 +528,129 @@ class TestPredictionIo:
         line = b'{"image_id":"a","class_id":2,"score":0.25,"bbox":[0,0,2,2]}'
         (det,) = read_predictions(iter([line]))
         assert det.class_id == ALTERNATIVE
+
+
+_READER_PARAMS = SynthParams(seed=5, n_images=6, image_size=(48, 32), jitter=1.5,
+                             drop_rate=0.2, fp_rate=1.0, score_noise=0.2)
+_READER_INDEX, _READER_DETS = generate_suite(_READER_PARAMS)
+# Per field, values that some constructor refuses, or that only the
+# line-by-line reader accepts (integral floats, large ints).
+_HOSTILE = {
+    "line": [None, 7, "x", [1], True],
+    "image_id": ["", 7, None, True],
+    "class_id": [True, 0, 3, 1.5, 1.0, "1", None],
+    "score": [True, "0.5", float("nan"), float("inf"), 1.5, -0.25, 10**400, 1],
+    "x": [True, "1", float("nan"), float("-inf"), 10**400, 2**70, None],
+    "w": [-1, -0.5, float("inf"), True, 7],
+    "width": [0, -1, 1.5, 48.0, True, "48"],
+    "runs": [-1, 1.5, True, "3", 10**400, 0, 2.0],
+    "geometry": [None, {"width": 1, "height": 1, "runs": [1]}, "x"],
+}
+
+
+def _line_object(det: Detection, as_box: bool, integral: bool) -> dict:
+    obj: dict = {"image_id": det.image_id, "class_id": det.class_id, "score": det.score}
+    if as_box:
+        box = mask_to_bbox(det.geometry) or Box(1.5, 2.25, 3.0, 0.0)
+        obj["bbox"] = [int(v) if integral and v.is_integer() else v
+                       for v in (box.x, box.y, box.w, box.h)]
+    else:
+        m = det.geometry
+        obj["rle"] = {"width": float(m.width) if integral else m.width, "height": m.height,
+                      "runs": list(m.runs)}
+    if integral:
+        obj["class_id"] = float(obj["class_id"])
+    return obj
+
+
+def _corrupt(obj: object, where: str, value) -> object:
+    if where == "line" or not isinstance(obj, dict):
+        return value
+    bbox, rle = obj.get("bbox"), obj.get("rle")
+    if where in ("image_id", "class_id", "score"):
+        obj[where] = value
+    elif where == "geometry" and value is None:
+        obj.pop("bbox", None)
+        obj.pop("rle", None)
+    elif where == "geometry":
+        obj["rle" if "bbox" in obj else "bbox"] = value
+    elif isinstance(bbox, list):
+        bbox[{"x": 0, "w": 2, "width": 3, "runs": 1}[where]] = value
+    elif isinstance(rle, dict) and where == "runs":
+        rle["runs"][0] = value
+    elif isinstance(rle, dict):
+        rle["width"] = value
+    return obj
+
+
+@st.composite
+def prediction_files(draw):
+    """JSON Lines of the synth detections as box or RLE lines, with blank
+    lines, integral floats, orphans and hostile values at random lines."""
+    dets = list(_READER_DETS) + [replace(d, image_id="orphan") for d in _READER_DETS[:2]]
+    picked = draw(st.lists(st.sampled_from(range(len(dets))), max_size=30))
+    rare = st.integers(0, 29).map(lambda k: k == 0)
+    objs = [_line_object(dets[i], draw(st.booleans()), draw(rare)) for i in picked]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        if objs:
+            k = draw(st.integers(0, len(objs) - 1))
+            where = draw(st.sampled_from(sorted(_HOSTILE)))
+            objs[k] = _corrupt(objs[k], where, draw(st.sampled_from(_HOSTILE[where])))
+    lines = [json.dumps(o) for o in objs]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.sampled_from(["", " ", "", "{", "[]"]))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _outcome(evaluate_file):
+    try:
+        return evaluate_file()
+    except DriveAreaError as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnReader:
+    @given(prediction_files(), st.sampled_from(["box", "mask"]), st.booleans(),
+           st.integers(1, 8))
+    @settings(max_examples=500, deadline=None)
+    def test_same_report_or_error_as_detections(self, text, kind, strict, batch):
+        cfg = MatchConfig(iou_kind=kind)
+        want = _outcome(lambda: evaluate(_READER_INDEX, list(read_predictions(io.BytesIO(text))),
+                                         cfg, strict_orphans=strict))
+        with mock.patch.object(metrics, "_BATCH", batch):
+            got = _outcome(lambda: evaluate(_READER_INDEX, metrics._read_columns(io.BytesIO(text)),
+                                            cfg, strict_orphans=strict))
+        assert got == want
+
+    @pytest.mark.parametrize("where", sorted(_HOSTILE) + ["text"])
+    def test_each_hostile_field_same_as_detections(self, where):
+        damage = [lambda t: t + " 1", lambda t: "\ufeff" + t, lambda t: t[:-1], lambda t: t + "}",
+                  lambda t: "\x1f " + t + "\t", lambda t: t.replace("{", "{ ", 1)]
+        for value, as_box in itertools.product(_HOSTILE.get(where, damage), [True, False]):
+            objs = [_line_object(d, k % 2 == 0, False) for k, d in enumerate(_READER_DETS[:5])]
+            lines = list(map(json.dumps, objs))
+            damaged = _line_object(_READER_DETS[3], as_box, False)
+            if where == "text":
+                lines[3] = value(json.dumps(damaged))
+            else:
+                lines[3] = json.dumps(_corrupt(damaged, where, value))
+            text = [line.encode() for line in lines]
+            want = _outcome(lambda: evaluate(_READER_INDEX, list(read_predictions(text))))
+            got = _outcome(lambda: evaluate(_READER_INDEX, metrics._read_columns(text)))
+            assert got == want, (value, as_box)
+
+    def test_short_boxes_on_two_lines_are_refused(self):
+        # Two 2-value boxes would fill one 4-value row, which numpy broadcasts to both.
+        line = json.dumps({"image_id": "a", "class_id": 1, "score": 0.5, "bbox": [0, 1]}).encode()
+        with pytest.raises(SchemaViolation, match="line 1: bbox must be"):
+            metrics._read_columns([line, line])
+
+    def test_clean_lines_take_the_column_path(self):
+        lines = [json.dumps(_line_object(d, as_box, False)).encode()
+                 for d, as_box in zip(_READER_DETS, itertools.cycle([True, False]))]
+        batch = metrics._accepted_batch(list(enumerate(lines, start=1)))
+        assert batch is not None and len(batch[0]) == len(lines)
 
 
 class TestDetectionValidation:
