@@ -120,7 +120,7 @@ class SplitMix64:
 
     def poisson(self, lam: float) -> int:
         """Knuth's product-of-uniforms Poisson sampler (small lambda only)."""
-        if lam < 0:
+        if not lam >= 0:  # NaN too: it never meets the loop's limit
             raise ValueError("lambda must be >= 0")
         limit = math.exp(-lam)
         k = 0
@@ -155,8 +155,8 @@ class SynthParams:
             raise ValueError("lanes_per_image must be a range with min >= 1")
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ValueError("drop_rate must be in [0, 1]")
-        if self.jitter < 0 or self.fp_rate < 0 or self.score_noise < 0:
-            raise ValueError("jitter, fp_rate and score_noise must be >= 0")
+        if not all(0 <= v < math.inf for v in (self.jitter, self.fp_rate, self.score_noise)):
+            raise ValueError("jitter, fp_rate and score_noise must be finite and >= 0")
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:

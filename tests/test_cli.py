@@ -268,6 +268,16 @@ class TestSynth:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
 
+    @pytest.mark.parametrize("flag", ["--jitter", "--fp-rate", "--score-noise"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_exits_2(self, runner, tmp_path, flag, value):
+        labels, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        result = invoke(runner, ["synth", "--n-images", "2", flag, value,
+                                 "--out-labels", str(labels), "--out-predictions", str(preds)])
+        assert result.exit_code == 2
+        assert "must be finite and >= 0" in result.stderr
+        assert not labels.exists() and not preds.exists()
+
     def test_same_output_twice_exits_2(self, runner, tmp_path):
         out = tmp_path / "both.json"
         result = invoke(runner, ["synth", "--n-images", "1", "--out-labels", str(out),
@@ -431,6 +441,19 @@ class TestEval:
         result = self._eval_one_prediction(runner, tmp_path, det, "mask")
         assert result.exit_code == 2
         assert result.stderr.startswith("error: prediction line 1: expected an integer")
+
+    def test_bad_rle_error_names_its_line(self, runner, tmp_path):
+        labels, _ = self._synth_files(runner, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        good = {"image_id": "a", "class_id": 1, "score": 0.9, "bbox": [0, 0, 8, 1]}
+        bad = {"image_id": "a", "class_id": 1, "score": 0.9,
+               "rle": {"width": 2, "height": 2, "runs": [1, 1]}}
+        preds.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: prediction line 2: runs sum to 2, expected width*height = 4\n")
 
     @pytest.mark.parametrize(
         "key, value",

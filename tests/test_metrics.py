@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -611,16 +612,14 @@ def _outcome(evaluate_file):
 
 
 class TestColumnReader:
-    @given(prediction_files(), st.sampled_from(["box", "mask"]), st.booleans(),
-           st.integers(1, 8))
+    @given(prediction_files(), st.sampled_from(["box", "mask"]), st.booleans())
     @settings(max_examples=500, deadline=None)
-    def test_same_report_or_error_as_detections(self, text, kind, strict, batch):
+    def test_same_report_or_error_as_detections(self, text, kind, strict):
         cfg = MatchConfig(iou_kind=kind)
         want = _outcome(lambda: evaluate(_READER_INDEX, list(read_predictions(io.BytesIO(text))),
                                          cfg, strict_orphans=strict))
-        with mock.patch.object(metrics, "_BATCH", batch):
-            got = _outcome(lambda: evaluate(_READER_INDEX, metrics._read_columns(io.BytesIO(text)),
-                                            cfg, strict_orphans=strict))
+        got = _outcome(lambda: evaluate(_READER_INDEX, metrics._read_columns(io.BytesIO(text)),
+                                        cfg, strict_orphans=strict))
         assert got == want
 
     @pytest.mark.parametrize("where", sorted(_HOSTILE) + ["text"])
@@ -646,11 +645,55 @@ class TestColumnReader:
         with pytest.raises(SchemaViolation, match="line 1: bbox must be"):
             metrics._read_columns([line, line])
 
-    def test_clean_lines_take_the_column_path(self):
-        lines = [json.dumps(_line_object(d, as_box, False)).encode()
-                 for d, as_box in zip(_READER_DETS, itertools.cycle([True, False]))]
-        batch = metrics._accepted_batch(list(enumerate(lines, start=1)))
-        assert batch is not None and len(batch[0]) == len(lines)
+    def test_huge_ints_that_cancel_are_refused(self):
+        # Their sum is small, but neither value fits a float.
+        line = json.dumps({"image_id": "a", "class_id": 1, "score": 0.5,
+                           "bbox": [10**400, -10**400, 1, 1]}).encode()
+        want = _outcome(lambda: list(read_predictions([line])))
+        assert want[0] is SchemaViolation
+        assert _outcome(lambda: metrics._read_columns([line])) == want
+
+    def test_clean_lines_take_the_column_path(self, monkeypatch):
+        """Plain box and RLE lines build no Detection or Box; lines whose class
+        id is an integral float build them and give the same columns."""
+        plain, integral = _reader_lines(False), _reader_lines(True)
+        want = metrics._columns(map(metrics._row, read_predictions(plain)))
+        built = []
+        for cls in (Detection, Box):
+            checked = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda obj, checked=checked: built.append(type(obj)) or checked(obj))
+        _assert_same_columns(metrics._read_columns(plain), want)
+        assert built == []
+        _assert_same_columns(metrics._read_columns(integral[:2] + plain[2:]), want)
+        assert built == [Box, Detection, Detection]  # a box line, then an RLE line
+
+    def test_reading_memory_does_not_grow_with_the_file(self):
+        def peak_beyond_columns(n_lines):
+            source = list(itertools.islice(itertools.cycle(_reader_lines(False)), n_lines))
+            tracemalloc.start()
+            try:
+                cols = metrics._read_columns(source)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(cols.mask) == n_lines
+            return peak - kept
+
+        assert peak_beyond_columns(16384) <= peak_beyond_columns(4096) + 8192
+
+
+def _reader_lines(integral: bool) -> list[bytes]:
+    """The synth detections as alternating box and RLE lines."""
+    return [json.dumps(_line_object(d, k % 2 == 0, integral)).encode()
+            for k, d in enumerate(_READER_DETS)]
+
+
+def _assert_same_columns(got, want):
+    assert (got.names, got.mask) == (want.names, want.mask)
+    for field in ("image", "class_id", "score", "box"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 class TestDetectionValidation:

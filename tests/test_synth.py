@@ -45,6 +45,10 @@ class TestSplitMix64:
         rng = SplitMix64(7)
         assert all(rng.poisson(0.0) == 0 for _ in range(20))
 
+    def test_poisson_refuses_nan(self):
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            SplitMix64(7).poisson(float("nan"))
+
     def test_poisson_mean_roughly_lambda(self):
         rng = SplitMix64(11)
         draws = [rng.poisson(2.0) for _ in range(2000)]
@@ -96,6 +100,14 @@ class TestGenerateScene:
         params = SynthParams(seed=0, n_images=2)
         with pytest.raises(ValueError):
             generate_scene(params, 2)
+
+
+class TestSynthParams:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("field", ["jitter", "fp_rate", "score_noise"])
+    def test_rates_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            SynthParams(**{field: value})
 
 
 class TestCorruptPredictions:
