@@ -146,7 +146,8 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
             polys = [p for p in record.labels if p.class_id == class_id]
             if not polys:
                 continue
-            stem = f"{record.image_id.replace('/', '_')}.{class_name}"
+            # "/" and NUL are the two bytes a POSIX file name cannot hold
+            stem = record.image_id.replace("/", "_").replace("\0", "_") + f".{class_name}"
             if stem in jobs:
                 _fail(OutputCollision(
                     f"image ids {jobs[stem][0].image_id!r} and {record.image_id!r} "

@@ -434,17 +434,35 @@ def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
     Accepts any iterable of lines (an open file works), so arbitrarily large
     prediction files never need to fit in memory. Byte lines are UTF-8.
     """
-    yield from _detections(enumerate(source, start=1))
+    for image_id, class_id, score, box, mask in _rows(source):
+        yield Detection(image_id, class_id, score, Box(*box) if mask is None else mask)
 
 
-def _detections(lines: Iterable[tuple[int, bytes | str]]) -> Iterator[Detection]:
-    """Detections from numbered lines, checked one line at a time."""
-    for n, line in lines:
+def _plain_box(bbox: list) -> bool:
+    """Whether Box would keep ``bbox`` as it is: exact, finite numbers with w, h >= 0."""
+    try:  # fsum turns each value into a float: a huge int overflows, inf - inf is a ValueError
+        return ({int, float}.issuperset(map(type, bbox)) and bbox[2] >= 0 <= bbox[3]
+                and math.isfinite(math.fsum(bbox)))
+    except (OverflowError, ValueError):
+        return False
+
+
+def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
+    """The row of each prediction line, decoded and checked once. A line whose
+    fields have the exact types and ranges the constructors keep builds no
+    Detection; any other line is read through one, which raises a bad line's error."""
+    for n, line in enumerate(source, start=1):
         try:
             stripped = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
             if not stripped:
                 continue
-            obj = json.loads(stripped)
+            # json.loads less its call overhead: on stripped text, raw_decode and two checks
+            if stripped.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                           stripped, 0)
+            obj, end = _DECODER.raw_decode(stripped)
+            if end != len(stripped):
+                raise json.JSONDecodeError("Extra data", stripped, end)
         except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge int, deep nesting
             reason = getattr(exc, "msg", exc)
             raise MalformedInput(f"prediction line {n}: invalid JSON: {reason}") from exc
@@ -458,55 +476,27 @@ def _detections(lines: Iterable[tuple[int, bytes | str]]) -> Iterator[Detection]
             raise SchemaViolation(f"prediction line {n}: bbox must be [x, y, w, h]")
         if not has_bbox and not isinstance(rle, dict):
             raise SchemaViolation(f"prediction line {n}: rle must be an object")
-        try:
+        try:  # the geometry first: its errors come before those of the other fields
             if has_bbox:
-                geometry: Box | RleMask = Box(*bbox)
+                box, mask = bbox if _plain_box(bbox) else _xywh(Box(*bbox)), None
             else:
-                geometry = RleMask(rle["width"], rle["height"], rle["runs"])
-            det = Detection(obj["image_id"], obj["class_id"], obj["score"], geometry)
+                box, mask = _xywh(None), RleMask(rle["width"], rle["height"], rle["runs"])
+            image_id, class_id, score = obj["image_id"], obj["class_id"], obj["score"]
+            # exact types and ranges that Detection keeps; a NaN score fails the range too
+            if not (type(image_id) is str and image_id and type(class_id) is int
+                    and class_id in CLASS_NAMES and type(score) in (int, float) and 0 <= score <= 1):
+                det = Detection(image_id, class_id, score, Box(*box) if mask is None else mask)
+                image_id, class_id, score = det.image_id, det.class_id, det.score
         except (KeyError, TypeError, ValueError) as exc:
             raise _refusal(f"prediction line {n}", exc) from exc
         except InvalidRle as exc:
             raise InvalidRle(f"prediction line {n}: {exc}") from exc
-        yield det
-
-
-def _plain_row(line: bytes | str) -> tuple | None:
-    """The row of a prediction line that passes a test :func:`_detections` passes
-    as well: one JSON object of exact types (a non-empty str id, an int class, int
-    or float numbers), a score in [0, 1], and a finite box of non-negative size or
-    an RLE that RleMask accepts. Any other line gives None or raises."""
-    text = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
-    obj, end = _DECODER.raw_decode(text)
-    if end != len(text) or type(obj) is not dict or ("bbox" in obj) == ("rle" in obj):
-        return None
-    image_id, class_id, score = obj["image_id"], obj["class_id"], obj["score"]
-    if not (type(image_id) is str and image_id and type(class_id) is int
-            and class_id in CLASS_NAMES and type(score) in (int, float) and 0 <= score <= 1):
-        return None  # NaN fails the range too
-    if "rle" in obj:
-        mask = RleMask(obj["rle"]["width"], obj["rle"]["height"], obj["rle"]["runs"])
-        return image_id, class_id, score, _xywh(None), mask
-    bbox = obj["bbox"]  # fsum turns each value into a float, so a huge int raises
-    if (type(bbox) is list and len(bbox) == 4 and {int, float}.issuperset(map(type, bbox))
-            and bbox[2] >= 0 <= bbox[3] and math.isfinite(math.fsum(bbox))):
-        return image_id, class_id, score, bbox, None
-    return None
-
-
-def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
-    for n, line in enumerate(source, start=1):
-        try:
-            row = _plain_row(line)
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError, InvalidRle):
-            row = None  # _detections raises the error, or reads a line valid but not plain
-        yield from [row] if row else map(_row, _detections([(n, line)]))
+        yield image_id, class_id, score, box, mask
 
 
 def _read_columns(source: Iterable[bytes | str]) -> _Columns:
-    """:func:`read_predictions` into columns, one line at a time. A line that
-    passes :func:`_plain_row` builds no Detection; any other line is read by
-    :func:`_detections`, so a bad line raises what read_predictions raises."""
+    """:func:`read_predictions` into columns, one line at a time, through the
+    same :func:`_rows`, so a bad line raises what read_predictions raises."""
     return _columns(_rows(source))
 
 

@@ -136,8 +136,8 @@ class RoiSpec:
     sample_pooling: str = "average"
 
     def __post_init__(self) -> None:
-        if self.spatial_scale <= 0:
-            raise ValueError("spatial_scale must be positive")
+        if not self.spatial_scale > 0:  # NaN too
+            raise ValueError(f"spatial_scale must be positive, got {self.spatial_scale!r}")
         if len(self.output_size) != 2 or any(int(b) < 1 for b in self.output_size):
             raise ValueError("output_size entries must be >= 1")
         object.__setattr__(self, "output_size", (int(self.output_size[0]), int(self.output_size[1])))
@@ -361,8 +361,8 @@ def misalignment_report(roi: Box, spatial_scale: float) -> MisalignmentReport:
     part; RoIAlign samples at the exact coordinates, so its offsets are
     identically zero by construction.
     """
-    if spatial_scale <= 0:
-        raise ValueError("spatial_scale must be positive")
+    if not spatial_scale > 0:  # NaN too
+        raise ValueError(f"spatial_scale must be positive, got {spatial_scale!r}")
 
     def frac(v: float) -> float:
         sv = v * spatial_scale

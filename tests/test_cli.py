@@ -112,7 +112,7 @@ class TestPreprocess:
         assert not out.exists()
 
     @pytest.mark.parametrize("entries", [[], [bdd_entry("a.jpg")]], ids=["empty", "one-entry"])
-    @pytest.mark.parametrize("dims", ["3000000000x10", "10x2147483648", "0x10"])
+    @pytest.mark.parametrize("dims", ["3000000000x10", "10x2147483648", "0x10", "12by7"])
     def test_default_dims_beyond_side_limit_is_usage_error(self, runner, tmp_path, entries, dims):
         src = tmp_path / "labels.json"
         src.write_text(json.dumps(entries))
@@ -186,6 +186,29 @@ class TestRasterize:
         result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: image ids 'x/a.jpg' and 'x_a.jpg'")
+        assert not out.exists()
+
+    @staticmethod
+    def _records(*image_ids):
+        poly = {"class_id": 1, "vertices": [[1, 1], [30, 1], [30, 20]]}
+        return json.dumps({"records": [{"image_id": i, "width": 64, "height": 64,
+                                        "polygons": [poly]} for i in image_ids]})
+
+    def test_nul_in_image_id_maps_to_underscore(self, runner, tmp_path):
+        src = tmp_path / "labels.json"
+        src.write_text(self._records("0", "a\0b"))
+        out = tmp_path / "masks"
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["0.direct.rle.json", "a_b.direct.rle.json"]
+
+    def test_nul_and_underscore_ids_collide_before_writing(self, runner, tmp_path):
+        src = tmp_path / "labels.json"
+        src.write_text(self._records("0", "a\0b", "a_b"))
+        out = tmp_path / "masks"
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: image ids 'a\\x00b' and 'a_b' both map to")
         assert not out.exists()
 
     def test_unwritable_out_exits_2(self, runner, tmp_path, three_image_bdd):
@@ -551,6 +574,11 @@ class TestRoiDemo:
         doc = json.loads(result.stdout)
         assert all(v == 2.5 for row in doc["pool"] for v in row)
         assert all(v == 2.5 for row in doc["align"] for v in row)
+
+    def test_nan_scale_exits_2(self, runner):
+        result = runner.invoke(main, ["roi-demo", "--scale", "nan"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: spatial_scale must be positive, got nan\n"
 
     def test_outside_roi_exits_2(self, runner):
         result = runner.invoke(main, ["roi-demo", "--roi", "10000,10000,5,5"])

@@ -108,6 +108,17 @@ class TestParseBdd:
         with pytest.raises(SchemaViolation, match="must be an array"):
             parse_labels(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("doc, where", [
+        ([1], "annotation entry 0"),
+        ({"records": [1]}, "record 0"),
+        ({"records": [{"image_id": "x", "width": 4, "height": 4, "polygons": [1]}]},
+         "record 0, polygon 0"),
+    ])
+    def test_non_object_entry_is_schema_violation(self, doc, where):
+        with pytest.raises(SchemaViolation) as info:
+            parse_labels(json.dumps(doc).encode())
+        assert str(info.value) == f"{where}: expected an object"
+
     def test_missing_name_is_schema_violation(self):
         raw = json.dumps([{"labels": []}]).encode()
         with pytest.raises(SchemaViolation, match="entry 0.*'name'"):

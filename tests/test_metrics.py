@@ -521,6 +521,16 @@ class TestPredictionIo:
         with pytest.raises(SchemaViolation, match="exactly one"):
             list(read_predictions(iter([line])))
 
+    @pytest.mark.parametrize("geometry, error", [
+        ({}, "exactly one of 'bbox' or 'rle' required"),
+        ({"rle": [1]}, "rle must be an object"),
+    ])
+    def test_geometry_shape_refused(self, geometry, error):
+        line = json.dumps({"image_id": "a", "class_id": 1, "score": 0.5, **geometry})
+        with pytest.raises(SchemaViolation) as info:
+            list(read_predictions([line]))
+        assert str(info.value) == f"prediction line 1: {error}"
+
     def test_blank_lines_skipped(self):
         lines = ["", '{"image_id":"a","class_id":1,"score":0.5,"bbox":[0,0,1,1]}', "  "]
         assert len(list(read_predictions(iter(lines)))) == 1
@@ -667,6 +677,16 @@ class TestColumnReader:
         assert built == []
         _assert_same_columns(metrics._read_columns(integral[:2] + plain[2:]), want)
         assert built == [Box, Detection, Detection]  # a box line, then an RLE line
+
+    @pytest.mark.parametrize("read", [lambda lines: list(read_predictions(lines)),
+                                      metrics._read_columns], ids=["detections", "columns"])
+    def test_each_line_is_decoded_once(self, monkeypatch, read):
+        """A valid line that is not plain (an integral-float class id) is decoded once."""
+        decode, calls = json.JSONDecoder.raw_decode, []
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode",
+                            lambda self, *args, **kw: calls.append(args) or decode(self, *args, **kw))
+        read([b'{"image_id":"a","class_id":1.0,"score":0.5,"bbox":[0,0,1,1]}'])
+        assert len(calls) == 1
 
     def test_reading_memory_does_not_grow_with_the_file(self):
         def peak_beyond_columns(n_lines):

@@ -204,6 +204,11 @@ class TestRoiPool:
         with pytest.raises(ValueError):
             roi_pool(_ramp_grid(), RoiSpec(Box(1, 1, 0, 2), 1.0, (2, 2)))
 
+    @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])
+    def test_spec_refuses_scale_not_positive(self, scale):
+        with pytest.raises(ValueError, match="spatial_scale must be positive, got"):
+            RoiSpec(Box(0, 0, 4, 4), scale, (2, 2))
+
     def test_output_shape(self):
         feat = FeatureGrid(np.random.default_rng(0).random((3, 8, 6)))
         out = roi_pool(feat, RoiSpec(Box(0.5, 1.0, 4.0, 5.0), 1.0, (3, 2)))
@@ -303,6 +308,11 @@ class TestMisalignment:
     def test_paper_demo_offset(self):
         report = misalignment_report(Box(7, 0, 32, 16), 1 / 16)
         assert report.pool.left == 0.4375
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])
+    def test_refuses_scale_not_positive(self, scale):
+        with pytest.raises(ValueError, match="spatial_scale must be positive, got"):
+            misalignment_report(Box(7, 0, 32, 16), scale)
 
     def test_align_offsets_identically_zero(self):
         rng = np.random.default_rng(4)
