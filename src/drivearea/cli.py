@@ -138,8 +138,8 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
 def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) -> None:
     """Rasterize polygons to one mask per (image, class): direct and alternative separately."""
     index = _load_index(labels, default_dims)
-    # Plan every file first, so that a name collision or a frame too large
-    # for a dense PGM writes nothing.
+    # Plan every file first, so that a name collision, a frame too large for
+    # a dense PGM or a polygon over the crossing budget writes nothing.
     jobs: dict[str, tuple[dataset.ImageRecord, list[dataset.PolygonLabel]]] = {}
     for record in index.records:
         for class_id, class_name in sorted(dataset.CLASS_NAMES.items()):
@@ -156,6 +156,9 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
             try:
                 if fmt == "pgm":
                     geometry._check_dense(record.width, record.height)
+                for p in polys:  # each edge crosses at most `height` rows
+                    if len(p.vertices) * record.height > geometry._MAX_CROSSINGS:
+                        geometry._edge_rows(p.vertices, record.height)
             except DimensionMismatch as exc:
                 _fail(DimensionMismatch(f"image {record.image_id!r}: {exc}"))
             jobs[stem] = (record, polys)

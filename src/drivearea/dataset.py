@@ -20,10 +20,13 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Any, Iterator, Mapping
 
+import numpy as np
+
 from .errors import IoFailure, MalformedInput, SchemaViolation
-from .geometry import _integer, _number
+from .geometry import _integer, _number, _plain
 
 __all__ = [
     "DIRECT",
@@ -127,20 +130,47 @@ class ConditionKey:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
+def _vertex_array(vertices: Any) -> np.ndarray:
+    """A read-only (V, 2) float64 copy of ``vertices``, V >= 3. A list or tuple of
+    pairs whose values _plain accepts takes one np.array call; any other input is
+    read a coordinate at a time by _number, which raises its errors."""
+    try:  # a vertex without a length is left to the per-coordinate reading
+        plain = (type(vertices) in (list, tuple) and {2}.issuperset(map(len, vertices))
+                 and _plain(flat := [*chain(*vertices)]))
+    except TypeError:
+        plain = False
+    if plain:
+        arr = np.array(flat, dtype=np.float64).reshape(-1, 2)
+    else:
+        arr = np.array([(_number(x), _number(y)) for x, y in vertices], dtype=np.float64)
+    if len(arr) < 3:
+        raise ValueError(f"polygon needs >= 3 vertices, got {len(arr)}")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class PolygonLabel:
-    """One drivable-area polygon with its class (1 = direct, 2 = alternative)."""
+    """One drivable-area polygon with its class (1 = direct, 2 = alternative).
+
+    ``vertices`` is a read-only (V, 2) float64 array. Labels compare and hash
+    by class and vertex values, as tuples of floats would (so 0.0 == -0.0).
+    """
 
     class_id: int
-    vertices: tuple[tuple[float, float], ...]
+    vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        class_id = _class_id(self.class_id)
-        verts = tuple([(_number(x), _number(y)) for x, y in self.vertices])
-        if len(verts) < 3:
-            raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
-        object.__setattr__(self, "class_id", class_id)
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "class_id", _class_id(self.class_id))
+        object.__setattr__(self, "vertices", _vertex_array(self.vertices))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolygonLabel):
+            return NotImplemented
+        return self.class_id == other.class_id and np.array_equal(self.vertices, other.vertices)
+
+    def __hash__(self) -> int:
+        return hash((self.class_id, (self.vertices + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
 
 
 @dataclass(frozen=True)
@@ -431,7 +461,8 @@ def write_normalized(index: DatasetIndex, sink: IO[bytes]) -> int:
                 "weather": r.conditions.weather,
                 "scene": r.conditions.scene,
                 "timeofday": r.conditions.timeofday,
-                "polygons": [{"class_id": p.class_id, "vertices": p.vertices} for p in r.labels],
+                "polygons": [{"class_id": p.class_id, "vertices": p.vertices.tolist()}
+                             for p in r.labels],
             }
             sink.write((b"," if i else b"") + _ENCODER.encode(record).encode("utf-8"))
         sink.write(b"]}")

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MAX_DENSE_PIXELS = 2**28  # a 16 384 x 16 384 frame: the largest dense array built
+_MAX_CROSSINGS = 2**20  # (edge, row) pairs one polygon may cross: about 110 MiB of scratch
 _PGM_CHUNK = 2**20  # pixels per write of a PGM
 
 
@@ -56,9 +57,17 @@ def _integer(value: Any) -> int:
     return int(value)
 
 
+def _plain(values: list) -> bool:
+    """Whether the per-value rules would keep ``values`` as they are: each has the
+    exact type int or float, and all are finite. A shortcut past them, not a rule."""
+    try:  # fsum reads each value as a float: a huge int overflows, inf - inf is a ValueError
+        return {int, float}.issuperset(map(type, values)) and math.isfinite(math.fsum(values))
+    except (OverflowError, ValueError):
+        return False
+
+
 def _number(value: Any) -> float:
     """``value`` as a finite float; bools, strings and other non-numbers are refused."""
-    # The exact-type test is a shortcut for the common case, not a rule.
     if type(value) not in (int, float) and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
@@ -181,6 +190,20 @@ def _centers_below(v: np.ndarray, n: int) -> np.ndarray:
     return np.clip(np.ceil(np.fmax(v, -np.inf) - 0.5), 0, n).astype(np.int64)
 
 
+def _edge_rows(verts: np.ndarray, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's first active row and its number of active rows: the rows whose
+    center cy has min(y1, y2) <= cy < max(y1, y2). Refuses a polygon whose
+    crossings, the sum of those numbers, exceed the budget."""
+    y1, y2 = verts[:, 1], np.roll(verts[:, 1], -1)
+    lo = _centers_below(np.minimum(y1, y2), height)
+    counts = _centers_below(np.maximum(y1, y2), height) - lo
+    if (crossings := int(counts.sum())) > _MAX_CROSSINGS:
+        raise DimensionMismatch(
+            f"polygon crosses {crossings} (edge, row) pairs, over the limit of {_MAX_CROSSINGS}"
+        )
+    return lo, counts
+
+
 def rasterize_polygon(poly, width: int, height: int) -> RleMask:
     """Rasterize a polygon into a width x height mask.
 
@@ -198,7 +221,8 @@ def rasterize_polygon(poly, width: int, height: int) -> RleMask:
     of the row centers, each crossing becomes the number of column centers
     strictly left of it, and the sorted crossings of a row, taken in pairs,
     are its inside spans. Time and memory are O(vertices + crossings),
-    whatever the grid size.
+    whatever the grid size; more than 2**20 crossings are refused with
+    DimensionMismatch before they are allocated.
 
     Args:
         poly: a PolygonLabel or any (V, 2) vertex sequence.
@@ -208,16 +232,9 @@ def rasterize_polygon(poly, width: int, height: int) -> RleMask:
     if width <= 0 or height <= 0:
         raise ValueError(f"grid must be positive, got {width}x{height}")
     verts = _as_vertices(poly)
-    x1 = verts[:, 0]
-    y1 = verts[:, 1]
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
-
-    # Edge k is active on rows lo[k] <= j < hi[k], the rows whose center cy
-    # has min(y1, y2) <= cy < max(y1, y2): the same half-open test as above.
-    lo = _centers_below(np.minimum(y1, y2), height)
-    hi = _centers_below(np.maximum(y1, y2), height)
-    counts = hi - lo
+    # Edge k is active on counts[k] rows from lo[k]: the same half-open test as above.
+    lo, counts = _edge_rows(verts, height)
+    (x1, y1), (x2, y2) = verts.T, np.roll(verts, -1, axis=0).T
     edge = np.repeat(np.arange(len(verts)), counts)
     row = np.arange(edge.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     cy = row + 0.5

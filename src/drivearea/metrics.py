@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -27,8 +26,9 @@ import numpy as np
 
 from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
 from .dataset import _DECODER, _class_id, _image_id, _refusal
-from .errors import GeometryMismatch, InvalidRle, MalformedInput, NoGroundTruth, SchemaViolation
-from .geometry import Box, RleMask, _box_iou_matrix, _number, mask_iou, mask_to_bbox
+from .errors import DimensionMismatch, GeometryMismatch, InvalidRle, MalformedInput
+from .errors import NoGroundTruth, SchemaViolation
+from .geometry import Box, RleMask, _box_iou_matrix, _number, _plain, mask_iou, mask_to_bbox
 from .geometry import rasterize_polygon
 
 __all__ = [
@@ -150,7 +150,10 @@ def _match(
                 f"iou_kind 'mask' needs mask geometry, detection on {record.image_id} has only a box"
             )
     masks = [cols.mask[i] for i in ranked.tolist()]
-    gt_masks = [rasterize_polygon(label, record.width, record.height) for label in record.labels]
+    try:
+        gt_masks = [rasterize_polygon(p, record.width, record.height) for p in record.labels]
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"image {record.image_id!r}: {exc}") from exc
     gt_class = np.array([label.class_id for label in record.labels], dtype=np.int64)
     same_class = cols.class_id[ranked][:, None] == gt_class
     if cfg.iou_kind == "mask":
@@ -440,11 +443,7 @@ def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
 
 def _plain_box(bbox: list) -> bool:
     """Whether Box would keep ``bbox`` as it is: exact, finite numbers with w, h >= 0."""
-    try:  # fsum turns each value into a float: a huge int overflows, inf - inf is a ValueError
-        return ({int, float}.issuperset(map(type, bbox)) and bbox[2] >= 0 <= bbox[3]
-                and math.isfinite(math.fsum(bbox)))
-    except (OverflowError, ValueError):
-        return False
+    return _plain(bbox) and bbox[2] >= 0 <= bbox[3]
 
 
 def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:

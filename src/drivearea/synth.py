@@ -262,7 +262,7 @@ def corrupt_predictions(record: ImageRecord, params: SynthParams) -> list[Detect
         emit = rng.uniform() >= params.drop_rate
         verts = tuple(
             (x + rng.gauss(0.0, params.jitter), y + rng.gauss(0.0, params.jitter))
-            for x, y in label.vertices
+            for x, y in label.vertices.tolist()
         )
         score = _clamp(1.0 - abs(rng.gauss(0.0, params.score_noise)), 0.0, 1.0)
         if not emit:

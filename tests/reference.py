@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from drivearea.geometry import _number
+
 
 def point_in_polygon(px: float, py: float, vertices) -> bool:
     """Even-odd ray cast: count edge crossings strictly right of (px, py).
@@ -187,3 +189,14 @@ def pgm_reference(width: int, height: int, runs) -> bytes:
     bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(height, width)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     return header + (bits.astype(np.uint8) * 255).tobytes()
+
+
+def polygon_vertices(vertices) -> tuple[tuple[float, float], ...]:
+    """Polygon vertices by the per-coordinate rule, as tuples of floats: each
+    vertex unpacked into x and y, each read by ``geometry._number``, and at
+    least 3 of them. ``PolygonLabel`` must accept, refuse and compare as this
+    does, with the same exception type and message."""
+    verts = tuple([(_number(x), _number(y)) for x, y in vertices])
+    if len(verts) < 3:
+        raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
+    return verts

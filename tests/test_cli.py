@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -133,6 +134,38 @@ class TestPreprocess:
         (record,) = parse_labels(out.read_bytes())
         assert (record.width, record.height) == (2**31 - 1, 1)
 
+    def test_output_bytes_pinned(self, runner, tmp_path):
+        # Exact ints and floats side by side, -0.0, 1e-7, 1e16, 2**53 + 1 and
+        # curve types, pinned so that how vertices are held cannot change the bytes.
+        raw = [
+            bdd_entry("b/night.jpg", [
+                {"category": "drivable area", "attributes": {"areaType": "direct"},
+                 "poly2d": [{"vertices": [[0, 0], [1280, -0.0], [1e16, 1e-7], [640.5, 719]],
+                             "types": "LLCC", "closed": True}]},
+                drivable_label("alternative", [(3, 4.25), (-0.0, 700), (12, 1e-7)], "LCL"),
+                {"category": "car", "box2d": {"x1": 1, "y1": 2, "x2": 3.5, "y2": 4}},
+            ], {"weather": "rainy", "scene": "city street", "timeofday": "night"}),
+            bdd_entry("a.jpg", [drivable_label(
+                "direct", [(10, 10), (60.0, 10), (60, 40.5), (-1e-7, 2**53 + 1)])]),
+            bdd_entry("lane-only.jpg", [{"category": "lane",
+                                         "poly2d": [{"vertices": [[0, 0], [1, 1]]}]}]),
+        ]
+        src, out = tmp_path / "raw.json", tmp_path / "normalized.json"
+        src.write_text(json.dumps(raw))
+        result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 0
+        assert json.loads(result.stderr)["parse_warnings"] == 2
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "06993d2f5f96bdca6943e46792d83f721eb88a866f397aceeb74bdd4c586e34c")
+
+
+# 131 bytes: a thin triangle across a frame 2**31 - 1 rows high, about 2**32
+# (edge, row) crossings, which the rasterizer refuses before it allocates any.
+THIN = ('{"records":[{"image_id":"thin","width":4,"height":2147483647,"polygons":'
+        '[{"class_id":1,"vertices":[[0,0],[4,0],[2,2147483647]]}]}]}')
+THIN_ERROR = ("error: image 'thin': polygon crosses 4294967294 (edge, row) pairs, "
+              "over the limit of 1048576\n")
+
 
 class TestRasterize:
     def _write_labels(self, tmp_path, three_image_bdd):
@@ -209,6 +242,17 @@ class TestRasterize:
         result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: image ids 'a\\x00b' and 'a_b' both map to")
+        assert not out.exists()
+
+    def test_polygon_over_crossing_budget_exits_2_before_writing(self, runner, tmp_path):
+        src = tmp_path / "labels.json"
+        doc = json.loads(THIN)
+        doc["records"].insert(0, json.loads(self._records("a"))["records"][0])
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "masks"
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == THIN_ERROR
         assert not out.exists()
 
     def test_unwritable_out_exits_2(self, runner, tmp_path, three_image_bdd):
@@ -388,6 +432,19 @@ class TestEval:
                                  "--out", str(out), "--iou-threshold", threshold])
         assert result.exit_code == 2
         assert "Invalid value for '--iou-threshold'" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iou_kind", ["box", "mask"])
+    def test_polygon_over_crossing_budget_exits_2(self, runner, tmp_path, iou_kind):
+        labels, preds, out = tmp_path / "thin.json", tmp_path / "preds.jsonl", tmp_path / "r.json"
+        labels.write_text(THIN)
+        geometry = ('"rle":{"width":4,"height":2147483647,"runs":[8589934588]}'
+                    if iou_kind == "mask" else '"bbox":[0,0,4,4]')
+        preds.write_text('{"image_id":"thin","class_id":1,"score":0.5,%s}\n' % geometry)
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(out), "--iou-kind", iou_kind])
+        assert result.exit_code == 2
+        assert result.stderr == THIN_ERROR
         assert not out.exists()
 
     def test_missing_predictions_exits_2(self, runner, tmp_path):

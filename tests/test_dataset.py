@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,7 @@ from drivearea.dataset import (
 from drivearea.errors import IoFailure, MalformedInput, SchemaViolation
 
 from conftest import RECT, TRI, bdd_entry, drivable_label
-from reference import normalized_bytes
+from reference import normalized_bytes, polygon_vertices
 
 
 class TestParseBdd:
@@ -345,6 +346,192 @@ class TestRoundTripProperty:
         buf = io.BytesIO()
         write_normalized(index, buf)
         assert parse_labels(buf.getvalue()) == index
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+
+
+_TRI = [[0, 0], [4, 0], [2, 3]]
+# Vertex inputs named for what they probe: plain ones, odd ones that the
+# per-coordinate rule accepts, and ones it refuses. The first group can be
+# written in a raw BDD file; the second has no JSON spelling.
+_VERTICES_JSON = {
+    "bool": [[True, 0], [4, 0], [2, 3]],
+    "string": [["1.5", 0], [4, 0], [2, 3]],
+    "none-coordinate": [[0, None], [4, 0], [2, 3]],
+    "none-vertices": None,
+    "nan": [[0, 0], [float("nan"), 0], [2, 3]],
+    "inf": [[0, 0], [4, float("inf")], [2, 3]],
+    "-inf": [[float("-inf"), 0], [4, 0], [2, 3]],
+    "inf-minus-inf": [[float("inf"), float("-inf")], [4, 0], [2, 3]],
+    "huge-int": [[0, 0], [10**400, 0], [2, 3]],
+    "sum-beyond-float-range": [[1e308, 1e308], [4, 0], [2, 3]],
+    "big-int": [[0, 0], [2**80 + 1, 2**53 + 1], [2, 3]],
+    "ragged-short": [[0, 0], [4], [2, 3]],
+    "ragged-long": [[0, 0], [4, 0, 1], [2, 3]],
+    "three-element": [[0, 0, 0], [4, 0, 0], [2, 3, 0]],
+    "one-element": [[0], [4], [2]],
+    "empty-vertex": [[], [], []],
+    "dict-vertex": [{"x": 0, "y": 0}, {"x": 4, "y": 0}, {"x": 2, "y": 3}],
+    "string-vertex": ["00", "40", "23"],
+    "number-vertex": [0, 4, 2],
+    "nested": [[[0, 0]], [[4, 0]], [[2, 3]]],
+    "nested-pair": [[[0], [0]], [[4], [0]], [[2], [3]]],
+    "empty": [],
+    "one": [[0, 0]],
+    "two": [[0, 0], [4, 0]],
+    "object": {"a": 1},
+    "string-vertices": "abc",
+    "number-vertices": 3,
+    "exact-ints": _TRI,
+    "signed-zeros": [[-0.0, 0], [4, -0.0], [2, 3]],
+}
+_VERTICES_PYTHON = {
+    "tuples": tuple(map(tuple, _TRI)),
+    "numpy-floats": [[np.float64(0.5), np.float32(0)], [4, 0], [2, 3]],
+    "numpy-ints": [[np.int64(0), np.uint8(0)], [4, 0], [2, 3]],
+    "numpy-bool": [[np.bool_(True), 0], [4, 0], [2, 3]],
+    "numpy-nan": [[np.float32("nan"), 0], [4, 0], [2, 3]],
+    "float64-array": np.array(_TRI, dtype=np.float64),
+    "int-array": np.array(_TRI),
+    "bool-array": np.array(_TRI, dtype=bool),
+    "object-array": np.array([[0, 0], [4, None], [2, 3]], dtype=object),
+    "int-key-dict-vertex": [{0: "a", 0.5: "b"}, {4: "a", 0: "b"}, {2: "a", 3: "b"}],
+    "set-vertex": [{0, 1}, {4, 1}, {2, 3}],
+    "bytes-vertex": [b"\0\0", b"\4\0", b"\2\3"],
+    "tuple-subclass": [type("P", (tuple,), {})((0, 0)), (4, 0), (2, 3)],
+    "list-subclass": type("L", (list,), {})(_TRI),
+}
+# One-shot iterables, made afresh for each reading.
+_ONE_SHOT = {
+    "iterator-vertices": lambda: iter(_TRI),
+    "iterator-vertex": lambda: [iter([0, 0]), iter([4, 0]), iter([2, 3])],
+}
+
+
+class TestVertexArray:
+    """``PolygonLabel`` keeps its vertices as one read-only (V, 2) float64 array,
+    and accepts, refuses and compares as the per-coordinate rule of tuples did."""
+
+    def test_read_only_float64_copy(self):
+        source = np.array(_TRI, dtype=np.float64)
+        label = PolygonLabel(1, source)
+        assert label.vertices.dtype == np.float64 and label.vertices.shape == (3, 2)
+        assert not np.shares_memory(label.vertices, source)
+        source[0, 0] = 9.0
+        assert label.vertices[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            label.vertices[0, 0] = 1.0
+        assert not PolygonLabel(2, _TRI).vertices.flags.writeable
+
+    @pytest.mark.parametrize("name", [*_VERTICES_JSON, *_VERTICES_PYTHON, *_ONE_SHOT])
+    def test_same_outcome_as_per_coordinate_rule(self, name):
+        supply = _ONE_SHOT.get(name, lambda: {**_VERTICES_JSON, **_VERTICES_PYTHON}[name])
+        got = _outcome(lambda: [list(v) for v in PolygonLabel(1, supply()).vertices.tolist()])
+        want = _outcome(lambda: [list(v) for v in polygon_vertices(supply())])
+        assert got == want
+
+    @pytest.mark.parametrize("vertices", [
+        pytest.param(v, id=k) for k, v in _VERTICES_JSON.items()
+    ])
+    def test_raw_file_counts_the_same_warnings(self, vertices):
+        label = {"category": "drivable area", "attributes": {"areaType": "direct"},
+                 "poly2d": [{"vertices": vertices}]}
+        doc = json.dumps([bdd_entry("a.jpg", [label, drivable_label("alternative", TRI)])])
+        index = parse_labels(doc.encode())
+        want = _outcome(lambda: polygon_vertices(json.loads(doc)[0]["labels"][0]["poly2d"][0]
+                                                 ["vertices"]))
+        accepted = not (len(want) == 2 and isinstance(want[0], type))  # not (type, message)
+        assert index.parse_warnings == (0 if accepted else 1)
+        assert len(index.records[0].labels) == (2 if accepted else 1)
+        if accepted:
+            assert index.records[0].labels[0].vertices.tolist() == [list(v) for v in want]
+
+    def test_parse_keeps_few_bytes_per_vertex(self):
+        rng = np.random.default_rng(0)
+        frames, polys, n = 500, 3, 64
+        doc = json.dumps([
+            bdd_entry(f"f{i:04d}.jpg", [
+                drivable_label(("direct", "alternative")[k % 2],
+                               (rng.uniform(0, 720, size=(n, 2)).round(3)).tolist())
+                for k in range(polys)
+            ], {"weather": "rainy", "scene": "highway", "timeofday": "night"})
+            for i in range(frames)
+        ]).encode()
+        tracemalloc.start()
+        try:
+            index = parse_labels(doc)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(p.vertices) for r in index for p in r.labels) == frames * polys * n
+        # A (V, 2) float64 array keeps 16 B a vertex, about 22 B with its label
+        # and record here; tuples of two floats kept about 117 B a vertex.
+        assert held / (frames * polys * n) < 40
+
+
+_EXACT = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1e-7, 1e16, 2**53 + 1, -(2**63), 2**64, 0.1]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _twin(value):
+    """Equal values of other types and signs of zero, ``value`` itself included."""
+    twins = [value]
+    if isinstance(value, int) and float(value) == value:
+        twins.append(float(value))
+    if isinstance(value, float) and value.is_integer() and abs(value) < 2**63:
+        twins.append(int(value))
+    if value == 0:
+        twins += [0, 0.0, -0.0]
+    return st.sampled_from(twins)
+
+
+_FORMS = {
+    "lists": lambda vs: [list(v) for v in vs],
+    "tuples": lambda vs: tuple(tuple(v) for v in vs),
+    "float64-array": lambda vs: np.array(vs, dtype=np.float64),
+}
+
+
+class TestVertexIdentity:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_compare_and_hash_as_tuples(self, data):
+        verts = data.draw(st.lists(st.tuples(_EXACT, _EXACT), min_size=3, max_size=6))
+        twin = [tuple(data.draw(_twin(c)) for c in v) for v in verts]
+        other = list(twin)
+        k = data.draw(st.integers(0, len(other) - 1))
+        other[k] = data.draw(st.tuples(_EXACT, _EXACT))
+        for a, b in [(verts, twin), (verts, other), (twin, other)]:
+            form_a, form_b = (data.draw(st.sampled_from(sorted(_FORMS))) for _ in "ab")
+            ca, cb = data.draw(st.sampled_from([(1, 1), (1, 2)]))
+            la, lb = PolygonLabel(ca, _FORMS[form_a](a)), PolygonLabel(cb, _FORMS[form_b](b))
+            equal = (ca, polygon_vertices(_FORMS[form_a](a))) == (cb, polygon_vertices(
+                _FORMS[form_b](b)))
+            assert (la == lb) == equal and (la != lb) != equal
+            ra, rb = (ImageRecord("a", 1, 1, labels=(label,)) for label in (la, lb))
+            assert (ra == rb) == equal
+            assert (DatasetIndex((ra,)) == DatasetIndex((rb,))) == equal
+            if equal:
+                assert hash(la) == hash(lb) and hash(ra) == hash(rb)
+            buf = io.BytesIO()
+            index = DatasetIndex((ra, ImageRecord("b", 2, 2, labels=(lb, la))))
+            write_normalized(index, buf)
+            assert parse_labels(buf.getvalue()) == index
+            assert buf.getvalue() == normalized_bytes(index)
+
+    def test_not_equal_to_other_types(self):
+        label = PolygonLabel(1, _TRI)
+        assert label != (1, tuple(map(tuple, _TRI))) and label != _TRI
+        assert len({label, PolygonLabel(1.0, np.array(_TRI, dtype=np.float64) * 1.0)}) == 1
 
 
 _ODD_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5.0, -3.0, 0.1, 2.5e-7])

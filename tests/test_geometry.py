@@ -209,6 +209,18 @@ class TestRasterize:
         mask = rasterize_polygon([(-5, -5), (15, -5), (15, 15), (-5, 15)], 10, 10)
         assert mask.count == 100
 
+    def test_crossing_budget(self):
+        # The rectangle crosses 2 edges x 5 rows; the closing edges are flat.
+        rect = [(1, 2), (8, 2), (8, 7), (1, 7)]
+        with mock.patch.object(geometry, "_MAX_CROSSINGS", 10):
+            assert rasterize_polygon(rect, 10, 10).count == 35
+        with mock.patch.object(geometry, "_MAX_CROSSINGS", 9), mock.patch.object(
+                np, "repeat", side_effect=AssertionError("allocated before the check")):
+            with pytest.raises(DimensionMismatch, match="^polygon crosses 10 .* limit of 9$"):
+                rasterize_polygon(rect, 10, 10)
+        # Rows outside the grid cross nothing, so a tall polygon on a short grid passes.
+        assert rasterize_polygon([(0, -2**40), (4, -2**40), (2, 2**40)], 4, 3).count == 6
+
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(DegeneratePolygon):
             rasterize_polygon([(0, 0), (1, 1)], 10, 10)
