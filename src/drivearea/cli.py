@@ -6,6 +6,8 @@ model produces a predictions JSONL, and ``eval`` scores it with stratified
 reports. ``synth``, ``anchors`` and ``roi-demo`` exercise the synthetic
 generator and the proposal geometry.
 
+Each command imports only the modules it runs, so ``--help`` loads no numpy.
+
 Exit codes: 0 success, 1 internal error, 2 bad input or flags.
 """
 
@@ -15,13 +17,10 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import dataset, geometry, metrics, proposals, synth
 from .errors import DimensionMismatch, DriveAreaError, IoFailure, OutputCollision
 
 log = logging.getLogger(__name__)
@@ -51,6 +50,7 @@ def _refuse_collisions(inputs: dict[str, Path], outputs: dict[str, Path | None])
 
 
 def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
+    from . import dataset
     try:
         w, h = value.lower().split("x")
         dims = (int(w), int(h))
@@ -62,6 +62,7 @@ def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
 
 
 def _parse_iou_threshold(_ctx, _param, value: float) -> float:
+    from . import metrics
     try:
         return metrics.MatchConfig(iou_threshold=value).iou_threshold
     except ValueError as exc:
@@ -86,7 +87,8 @@ def main(verbose: bool) -> None:
     )
 
 
-def _load_index(path: Path, default_dims: tuple[int, int]) -> dataset.DatasetIndex:
+def _load_index(path: Path, default_dims: tuple[int, int]):
+    from . import dataset
     try:
         with open(path, "rb") as fh:
             return dataset.parse_labels(fh, default_dims=default_dims)
@@ -101,6 +103,7 @@ def _load_index(path: Path, default_dims: tuple[int, int]) -> dataset.DatasetInd
 @click.option("--keep-empty", is_flag=True, help="Keep images without drivable regions.")
 def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empty: bool) -> None:
     """Normalize an annotation file, dropping unlabeled images."""
+    from . import dataset
     _refuse_collisions({"--labels": labels}, {"--out": out})
     index = _load_index(labels, default_dims)
     if keep_empty:
@@ -137,6 +140,7 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
 @click.option("--default-dims", default="1280x720", callback=_parse_dims, show_default=True)
 def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) -> None:
     """Rasterize polygons to one mask per (image, class): direct and alternative separately."""
+    from . import dataset, geometry
     index = _load_index(labels, default_dims)
     # Plan every file first, so that a name collision, a frame too large for
     # a dense PGM or a polygon over the crossing budget writes nothing.
@@ -200,6 +204,9 @@ def cmd_eval(
     stamp: bool,
 ) -> None:
     """Score a predictions file against ground-truth labels."""
+    from datetime import datetime, timezone
+
+    from . import dataset, metrics
     _refuse_collisions(
         {"--labels": labels, "--predictions": predictions}, {"--out": out, "--csv": csv_out}
     )
@@ -244,6 +251,7 @@ def cmd_synth(
     out_predictions: Path,
 ) -> None:
     """Write a synthetic annotation file plus matching corrupted predictions."""
+    from . import dataset, metrics, synth
     _refuse_collisions({}, {"--out-labels": out_labels, "--out-predictions": out_predictions})
     try:
         lo, _, hi = lanes.partition(":")
@@ -287,6 +295,7 @@ def anchors(
     grid: tuple[int, int],
 ) -> None:
     """Emit the anchor boxes for a feature grid as JSON on stdout."""
+    from . import proposals
     try:
         cfg = proposals.AnchorConfig(
             base_size=base_size, scales=scales, ratios=ratios, feature_stride=stride
@@ -326,6 +335,9 @@ def roi_demo(
     fill_value: float,
 ) -> None:
     """Pool one roi with RoIPool and RoIAlign on a demo grid; show the misalignment."""
+    import numpy as np
+
+    from . import geometry, proposals
     try:
         x, y, w, h = (float(v) for v in roi.split(","))
     except ValueError:

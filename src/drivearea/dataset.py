@@ -172,6 +172,9 @@ class PolygonLabel:
     def __hash__(self) -> int:
         return hash((self.class_id, (self.vertices + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
 
+    def __reduce__(self):  # copies and unpickles rebuild read-only vertices
+        return PolygonLabel, (self.class_id, self.vertices.tolist())
+
 
 @dataclass(frozen=True)
 class ImageRecord:

@@ -266,6 +266,8 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
 
 def mask_union(masks: Sequence[RleMask]) -> RleMask:
     """Pixelwise OR of one or more same-sized masks, merged run by run."""
+    if len(masks) == 1:  # a mask's runs are canonical, so it is its own union
+        return masks[0]
     opens, closes = _union_edges(masks)
     return _from_toggles(masks[0].width, masks[0].height, np.concatenate((opens, closes)))
 

@@ -590,12 +590,12 @@ class TestExitCodes:
         invoke(runner, ["synth", "--n-images", "2", "--out-labels", str(labels),
                         "--out-predictions", str(preds)])
 
-        import drivearea.cli as cli_mod
+        import drivearea.metrics
 
         def boom(*_args, **_kwargs):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr(cli_mod.metrics, "evaluate", boom)
+        monkeypatch.setattr(drivearea.metrics, "evaluate", boom)
         result = runner.invoke(main, ["eval", "--labels", str(labels),
                                       "--predictions", str(preds),
                                       "--out", str(tmp_path / "r.json")])

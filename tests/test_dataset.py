@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -532,6 +534,13 @@ class TestVertexIdentity:
         label = PolygonLabel(1, _TRI)
         assert label != (1, tuple(map(tuple, _TRI))) and label != _TRI
         assert len({label, PolygonLabel(1.0, np.array(_TRI, dtype=np.float64) * 1.0)}) == 1
+
+    def test_copies_keep_read_only_vertices(self):
+        label = PolygonLabel(2, [(0.0, -0.0), (1e300, 2.5e-7), (3, 4)])
+        for twin in (pickle.loads(pickle.dumps(label)), copy.deepcopy(label), copy.copy(label)):
+            assert twin == label and hash(twin) == hash(label)
+            assert not twin.vertices.flags.writeable
+            assert twin.vertices.tobytes() == label.vertices.tobytes()  # -0.0 survives
 
 
 _ODD_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5.0, -3.0, 0.1, 2.5e-7])

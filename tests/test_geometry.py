@@ -134,7 +134,7 @@ class TestRunsAgainstDense:
         assert mask_iou(ra, rb) == (inter / union if union else 0.0)
         assert mask_union([ra, rb]) == rle_encode(a | b)
         assert mask_union([rb, ra, rb]) == rle_encode(a | b)
-        assert mask_union([ra]) == ra
+        assert mask_union([ra]) == ra and mask_union([rb]) is rb
         for m in (ra, rb, mask_union([ra, rb]), mask_union([rb, ra, rb])):
             assert_canonical(m)
 

@@ -1,0 +1,126 @@
+"""Imports on demand: the package and each CLI command load only what they use.
+
+pytest has already imported every submodule, so the command checks run each
+command in a fresh interpreter and read its ``sys.modules`` at exit.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import drivearea
+from drivearea.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The names `drivearea` re-exports, by home module.
+PUBLIC = {
+    "dataset": {"ALTERNATIVE", "CLASS_IDS", "CLASS_NAMES", "ConditionKey", "DatasetIndex",
+                "DIRECT", "DropReport", "ImageRecord", "PolygonLabel", "filter_drivable",
+                "parse_labels", "write_normalized"},
+    "errors": {"DegeneratePolygon", "DimensionMismatch", "DriveAreaError", "GeometryMismatch",
+               "InvalidRle", "IoFailure", "LengthMismatch", "MalformedInput", "NoGroundTruth",
+               "NonPositiveBox", "RoiOutsideGrid", "SchemaViolation"},
+    "geometry": {"Box", "RleMask", "box_iou", "mask_iou", "mask_to_bbox", "mask_union",
+                 "polygon_area", "polygon_perimeter", "rasterize_polygon", "rle_decode",
+                 "rle_encode", "write_pgm"},
+    "metrics": {"Detection", "EvalReport", "MatchConfig", "MatchResult", "PrCurve",
+                "StratumResult", "average_precision", "evaluate", "match_detections", "mean_ap",
+                "precision_recall", "read_predictions", "report_to_csv", "report_to_json",
+                "write_predictions"},
+    "proposals": {"AnchorConfig", "Deltas", "FeatureGrid", "MisalignmentReport",
+                  "QuantizationOffsets", "RoiSpec", "decode_deltas", "encode_deltas",
+                  "generate_anchors", "misalignment_report", "nms", "roi_align", "roi_pool"},
+    "synth": {"SplitMix64", "SynthParams", "corrupt_predictions", "derive_seed",
+              "generate_scene", "generate_suite", "oracle_map"},
+}
+
+
+class TestPackage:
+    def test_public_names_resolve_to_their_home_module(self):
+        assert len(drivearea.__all__) == len(set(drivearea.__all__))
+        assert set(drivearea.__all__) == set().union(*PUBLIC.values())
+        for module, names in PUBLIC.items():
+            home = importlib.import_module(f"drivearea.{module}")
+            assert getattr(drivearea, module) is home
+            for name in names:
+                assert getattr(drivearea, name) is getattr(home, name), name
+        assert drivearea.__version__ == "0.1.0"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nope"):
+            drivearea.nope
+        assert not hasattr(drivearea, "nope")
+        with pytest.raises(ImportError):
+            from drivearea import nope  # noqa: F401
+
+
+PROBE = """\
+import sys
+try:
+    {body}
+finally:
+    print(" ".join(m for m in sorted(sys.modules) if m == "numpy" or m.startswith("drivearea")))
+"""
+
+
+def loaded_modules(body: str, *args: str) -> set[str]:
+    """The numpy and drivearea modules a fresh interpreter holds after ``body``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE.format(body=body), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return set(result.stdout.strip().splitlines()[-1].split())
+
+
+def command_modules(*args: str) -> set[str]:
+    return loaded_modules('from drivearea.cli import main; main(prog_name="drivearea")', *args)
+
+
+@pytest.fixture(scope="module")
+def suite(tmp_path_factory):
+    root = tmp_path_factory.mktemp("suite")
+    labels, preds = root / "gt.json", root / "p.jsonl"
+    result = CliRunner().invoke(main, ["synth", "--n-images", "3", "--out-labels", str(labels),
+                                       "--out-predictions", str(preds)])
+    assert result.exit_code == 0, result.output
+    return root, labels, preds
+
+
+NOT_FOR_HELP = {"numpy", "drivearea.dataset", "drivearea.metrics", "drivearea.proposals",
+                "drivearea.synth"}
+
+
+class TestCommandImports:
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_modules("import drivearea") == {"drivearea"}
+
+    @pytest.mark.parametrize("args", [["--help"], ["rasterize", "--help"]], ids=" ".join)
+    def test_help_loads_no_numpy(self, args):
+        loaded = command_modules(*args)
+        assert "drivearea.cli" in loaded
+        assert not loaded & NOT_FOR_HELP
+
+    def test_preprocess_and_rasterize_load_no_metrics(self, suite):
+        root, labels, _ = suite
+        for args in (["preprocess", "--labels", str(labels), "--out", str(root / "norm.json")],
+                     ["rasterize", "--labels", str(labels), "--out", str(root / "masks")]):
+            loaded = command_modules(*args)
+            assert "drivearea.dataset" in loaded
+            assert not loaded & {"drivearea.metrics", "drivearea.proposals", "drivearea.synth"}
+
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    def test_eval_loads_no_proposals(self, suite, kind):
+        root, labels, preds = suite
+        loaded = command_modules("eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(root / f"{kind}.json"), "--iou-kind", kind)
+        assert "drivearea.metrics" in loaded
+        assert not loaded & {"drivearea.proposals", "drivearea.synth"}
