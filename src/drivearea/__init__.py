@@ -33,6 +33,7 @@ _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.s
 
 __all__ = list(_HOME_OF)
 __version__ = "0.1.0"
+_MAX_SIDE = 2**31 - 1  # the largest image side, so that row * width + col fits int64
 
 
 def __getattr__(name: str):

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
+from . import _MAX_SIDE
 from .errors import DimensionMismatch, DriveAreaError, IoFailure, OutputCollision
 
 log = logging.getLogger(__name__)
@@ -50,14 +52,13 @@ def _refuse_collisions(inputs: dict[str, Path], outputs: dict[str, Path | None])
 
 
 def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
-    from . import dataset
     try:
         w, h = value.lower().split("x")
         dims = (int(w), int(h))
     except ValueError:
         raise click.BadParameter(f"expected WxH, got {value!r}")
-    if not all(0 < d <= dataset._MAX_SIDE for d in dims):
-        raise click.BadParameter(f"dimensions must be in 1..{dataset._MAX_SIDE}")
+    if not all(0 < d <= _MAX_SIDE for d in dims):
+        raise click.BadParameter(f"dimensions must be in 1..{_MAX_SIDE}")
     return dims
 
 
@@ -80,6 +81,8 @@ def _parse_floats(_ctx, _param, value: str) -> tuple[float, ...]:
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool) -> None:
     """Drivable-area annotation, geometry, and evaluation tooling."""
+    if "numpy" not in sys.modules:  # no command calls BLAS: start no OpenBLAS thread per core
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

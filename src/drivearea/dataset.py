@@ -25,6 +25,7 @@ from typing import IO, Any, Iterator, Mapping
 
 import numpy as np
 
+from . import _MAX_SIDE
 from .errors import IoFailure, MalformedInput, SchemaViolation
 from .geometry import _integer, _number, _plain
 
@@ -56,7 +57,6 @@ CLASS_NAMES = {DIRECT: "direct", ALTERNATIVE: "alternative"}
 
 # BDD frames are 1280x720; the label files do not carry dimensions.
 DEFAULT_DIMS = (1280, 720)
-_MAX_SIDE = 2**31 - 1  # the largest image side, so that row * width + col fits int64
 
 DRIVABLE_CATEGORY = "drivable area"
 

@@ -1,7 +1,8 @@
 """Imports on demand: the package and each CLI command load only what they use.
 
 pytest has already imported every submodule, so the command checks run each
-command in a fresh interpreter and read its ``sys.modules`` at exit.
+command in a fresh interpreter and read its ``sys.modules`` at exit. The same
+probe checks that a CLI process runs numpy on one OpenBLAS thread.
 """
 
 import importlib
@@ -61,28 +62,37 @@ class TestPackage:
 
 
 PROBE = """\
-import sys
+import os, sys
 try:
     {body}
 finally:
-    print(" ".join(m for m in sorted(sys.modules) if m == "numpy" or m.startswith("drivearea")))
+    print({report})
 """
+MODULES = '" ".join(m for m in sorted(sys.modules) if m == "numpy" or m.startswith("drivearea"))'
+COMMAND = 'from drivearea.cli import main; main(prog_name="drivearea")'
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def probe(body: str, *args: str, report: str = MODULES, **env: str) -> str:
+    """What a fresh interpreter prints of ``report`` after ``body``, run without
+    the BLAS thread variables of this process but with ``env``."""
+    child = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    child.update(env, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), child.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE.format(body=body, report=report), *args],
+        env=child, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return result.stdout.strip().splitlines()[-1]
 
 
 def loaded_modules(body: str, *args: str) -> set[str]:
     """The numpy and drivearea modules a fresh interpreter holds after ``body``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr[-2000:]
-    return set(result.stdout.strip().splitlines()[-1].split())
+    return set(probe(body, *args).split())
 
 
 def command_modules(*args: str) -> set[str]:
-    return loaded_modules('from drivearea.cli import main; main(prog_name="drivearea")', *args)
+    return loaded_modules(COMMAND, *args)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +134,39 @@ class TestCommandImports:
                                  "--out", str(root / f"{kind}.json"), "--iou-kind", kind)
         assert "drivearea.metrics" in loaded
         assert not loaded & {"drivearea.proposals", "drivearea.synth"}
+
+    @pytest.mark.parametrize("command", ["anchors", "roi-demo"])
+    def test_proposal_commands_load_no_dataset(self, command):
+        loaded = command_modules(command)
+        assert "drivearea.proposals" in loaded
+        assert not loaded & {"drivearea.dataset", "drivearea.metrics", "drivearea.synth"}
+
+
+STATUS = Path("/proc/self/status")
+THREADS = 'next(line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:"))'
+
+
+class TestBlasThreads:
+    """No command calls BLAS, so a CLI process starts no OpenBLAS thread pool."""
+
+    @pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
+    def test_numpy_commands_run_on_one_thread(self, suite):
+        root, labels, preds = suite
+        for args in (["preprocess", "--labels", str(labels), "--out", str(root / "t.json")],
+                     ["rasterize", "--labels", str(labels), "--out", str(root / "t-masks")],
+                     ["eval", "--labels", str(labels), "--predictions", str(preds),
+                      "--out", str(root / "t-report.json"), "--iou-kind", "mask"]):
+            assert probe(COMMAND, *args, report=THREADS) == "1", args[0]
+
+    def test_user_setting_wins(self, suite):
+        root, labels, preds = suite
+        args = ["eval", "--labels", str(labels), "--predictions", str(preds),
+                "--out", str(root / "u-report.json")]
+        report = 'os.environ.get("OPENBLAS_NUM_THREADS")'
+        assert probe(COMMAND, *args, report=report, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_library_import_leaves_environment_alone(self):
+        body = ("before = dict(os.environ); import drivearea.cli, drivearea.dataset, "
+                "drivearea.geometry, drivearea.metrics, drivearea.proposals, drivearea.synth")
+        report = "sorted(set(os.environ.items()) ^ set(before.items()))"
+        assert probe(body, report=report) == "[]"
