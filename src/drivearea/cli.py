@@ -25,8 +25,6 @@ import click
 from . import _MAX_SIDE
 from .errors import DimensionMismatch, DriveAreaError, IoFailure, OutputCollision
 
-log = logging.getLogger(__name__)
-
 
 def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
@@ -163,9 +161,8 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
             try:
                 if fmt == "pgm":
                     geometry._check_dense(record.width, record.height)
-                for p in polys:  # each edge crosses at most `height` rows
-                    if len(p.vertices) * record.height > geometry._MAX_CROSSINGS:
-                        geometry._edge_rows(p.vertices, record.height)
+                for p in polys:
+                    geometry._check_crossings(p.vertices, record.height)
             except DimensionMismatch as exc:
                 _fail(DimensionMismatch(f"image {record.image_id!r}: {exc}"))
             jobs[stem] = (record, polys)

@@ -103,6 +103,10 @@ def _class_id(value: Any) -> int:
 def _image_id(value: Any) -> None:
     if not isinstance(value, str) or not value:
         raise ValueError(f"image_id must be a non-empty string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, such as a JSON "\ud800" escape gives
+        raise ValueError(f"image_id must have a UTF-8 form, got {value!r}") from None
 
 
 @dataclass(frozen=True)

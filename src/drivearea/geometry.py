@@ -204,6 +204,12 @@ def _edge_rows(verts: np.ndarray, height: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, counts
 
 
+def _check_crossings(verts: np.ndarray, height: int) -> None:
+    """Refuse a polygon over the crossing budget, counted only if edges x rows exceed it."""
+    if len(verts) * height > _MAX_CROSSINGS:
+        _edge_rows(verts, height)
+
+
 def rasterize_polygon(poly, width: int, height: int) -> RleMask:
     """Rasterize a polygon into a width x height mask.
 

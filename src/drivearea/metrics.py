@@ -52,8 +52,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_FLOAT_EXACT_RANKS = 2**26  # see average_precision
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -247,31 +245,24 @@ def average_precision(curve: PrCurve) -> float | None:
     and the step function is integrated exactly. Returns None when there is
     no ground truth (AP undefined), 0.0 for no detections.
 
-    The envelope's steps each end on a rank that attains it, and only those
-    become fractions. If 0 <= TP_k <= k <= 2**26, distinct precisions TP_k / k
-    differ by at least 2**-52, more than a float step below 1, so floats order
-    them exactly; other curves compare by integer cross-multiplication.
+    Only ranks where TP rises add recall. A rank where TP does not rise and
+    precision is above 0 follows one of strictly higher precision, so these
+    ranks alone, visited from the last, give the envelope: rank i starts a step
+    when TP_i * j > TP_j * i for the step's rank j, and each step adds one
+    Fraction. Precisions at or below 0 never beat the envelope's start at 0.
     """
     if curve.n_gt == 0:
         return None
     tp = np.array(curve.tp_cumulative, dtype=np.int64)
-    if tp.size == 0:
-        return 0.0
-    rank = np.arange(1, tp.size + 1)
-    if tp.size <= _FLOAT_EXACT_RANKS and ((0 <= tp) & (tp <= rank)).all():
-        envelope = np.maximum.accumulate((tp / rank)[::-1])[::-1]
-        ends = [*(envelope[:-1] != envelope[1:]).nonzero()[0].tolist(), tp.size - 1]
-    else:
-        ends, counts = [tp.size - 1], tp.tolist()
-        for k in range(tp.size - 2, -1, -1):  # TP_i / i > TP_j / j iff TP_i * j > TP_j * i
-            if counts[k] * (ends[-1] + 1) > counts[ends[-1]] * (k + 1):
-                ends.append(k)
-        ends.reverse()
-    gain = np.maximum(tp - np.concatenate(([0], tp[:-1])), 0)  # new true positives at each rank
-    weights = np.add.reduceat(gain, [0, *(e + 1 for e in ends[:-1])]).tolist()
-    total = sum((Fraction(max(int(tp[e]), 0) * w, e + 1) for e, w in zip(ends, weights) if w),
-                Fraction(0))
-    return float(total / curve.n_gt)
+    gain = np.diff(tp, prepend=0)  # new true positives at each rank
+    rising = np.flatnonzero(gain > 0)[::-1]
+    total, step_tp, step_rank, step_gain = Fraction(0), 0, 1, 0
+    for i, tp_i, gain_i in zip((rising + 1).tolist(), tp[rising].tolist(), gain[rising].tolist()):
+        if tp_i * step_rank > step_tp * i:
+            total += Fraction(step_tp * step_gain, step_rank)
+            step_tp, step_rank, step_gain = tp_i, i, 0
+        step_gain += gain_i
+    return float((total + Fraction(step_tp * step_gain, step_rank)) / curve.n_gt)
 
 
 def mean_ap(per_class: Mapping[int, float | None]) -> float:
@@ -481,9 +472,10 @@ def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
             else:
                 box, mask = _xywh(None), RleMask(rle["width"], rle["height"], rle["runs"])
             image_id, class_id, score = obj["image_id"], obj["class_id"], obj["score"]
-            # exact types and ranges that Detection keeps; a NaN score fails the range too
-            if not (type(image_id) is str and image_id and type(class_id) is int
-                    and class_id in CLASS_NAMES and type(score) in (int, float) and 0 <= score <= 1):
+            # exact types and ranges that Detection keeps, ASCII ids; a NaN score fails too
+            if not (type(image_id) is str and image_id and image_id.isascii()
+                    and type(class_id) is int and class_id in CLASS_NAMES
+                    and type(score) in (int, float) and 0 <= score <= 1):
                 det = Detection(image_id, class_id, score, Box(*box) if mask is None else mask)
                 image_id, class_id, score = det.image_id, det.class_id, det.score
         except (KeyError, TypeError, ValueError) as exc:

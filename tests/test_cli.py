@@ -584,6 +584,22 @@ def test_hostile_json_exits_2(runner, tmp_path, command, hostile):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["preprocess", "rasterize", "eval"])
+def test_image_id_without_utf8_form_exits_2(runner, tmp_path, command):
+    # "\ud800" is valid JSON, but the lone surrogate it decodes to has no UTF-8 form
+    labels, preds, out = tmp_path / "labels.json", tmp_path / "preds.jsonl", tmp_path / "out"
+    image_id = "a" if command == "eval" else "\ud800"
+    labels.write_text(json.dumps([bdd_entry(image_id, labels=[drivable_label("direct", RECT)])]))
+    det = {"image_id": "\ud800", "class_id": 1, "score": 0.9, "bbox": [0, 0, 8, 1]}
+    preds.write_text(json.dumps(det) + "\n")
+    args = ["--predictions", str(preds)] if command == "eval" else []
+    result = invoke(runner, [command, "--labels", str(labels), *args, "--out", str(out)])
+    assert result.exit_code == 2
+    where = "prediction line 1" if command == "eval" else "annotation entry 0"
+    assert result.stderr == f"error: {where}: image_id must have a UTF-8 form, got '\\ud800'\n"
+    assert not out.exists()
+
+
 class TestExitCodes:
     def test_internal_error_exits_1(self, runner, tmp_path, monkeypatch):
         labels, preds = tmp_path / "gt.json", tmp_path / "p.jsonl"
