@@ -215,7 +215,7 @@ def cmd_eval(
         filtered, _ = dataset.filter_drivable(index)
         cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
         with open(predictions, "rb") as fh:  # read by lines, so errors have a line
-            dets = metrics._read_columns(fh)
+            dets = metrics._columns(metrics._rows(fh))
         report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
     except DriveAreaError as exc:
         _fail(exc)

@@ -20,14 +20,13 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import IO, Any, Iterator, Mapping
 
 import numpy as np
 
 from . import _MAX_SIDE
 from .errors import IoFailure, MalformedInput, SchemaViolation
-from .geometry import _integer, _number, _plain
+from .geometry import _integer, _vertex_array
 
 __all__ = [
     "DIRECT",
@@ -94,19 +93,20 @@ def normalize_tag(raw: object, vocabulary: tuple[str, ...]) -> str:
 
 
 def _class_id(value: Any) -> int:
-    class_id = _integer(value)
+    class_id = value if type(value) is int else _integer(value)
     if class_id not in CLASS_NAMES:
         raise ValueError(f"class_id must be 1 or 2, got {value!r}")
     return class_id
 
 
-def _image_id(value: Any) -> None:
+def _image_id(value: Any) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"image_id must be a non-empty string, got {value!r}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate, such as a JSON "\ud800" escape gives
         raise ValueError(f"image_id must have a UTF-8 form, got {value!r}") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -132,25 +132,6 @@ class ConditionKey:
         if name not in CONDITION_AXES:
             raise ValueError(f"unknown condition axis {name!r}")
         return getattr(self, name)
-
-
-def _vertex_array(vertices: Any) -> np.ndarray:
-    """A read-only (V, 2) float64 copy of ``vertices``, V >= 3. A list or tuple of
-    pairs whose values _plain accepts takes one np.array call; any other input is
-    read a coordinate at a time by _number, which raises its errors."""
-    try:  # a vertex without a length is left to the per-coordinate reading
-        plain = (type(vertices) in (list, tuple) and {2}.issuperset(map(len, vertices))
-                 and _plain(flat := [*chain(*vertices)]))
-    except TypeError:
-        plain = False
-    if plain:
-        arr = np.array(flat, dtype=np.float64).reshape(-1, 2)
-    else:
-        arr = np.array([(_number(x), _number(y)) for x, y in vertices], dtype=np.float64)
-    if len(arr) < 3:
-        raise ValueError(f"polygon needs >= 3 vertices, got {len(arr)}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

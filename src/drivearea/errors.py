@@ -24,7 +24,7 @@ class OutputCollision(DriveAreaError):
 
 
 class DegeneratePolygon(DriveAreaError):
-    """Polygon has fewer than 3 vertices."""
+    """Polygon vertices that PolygonLabel refuses: fewer than 3, or not finite numbers."""
 
 
 class DimensionMismatch(DriveAreaError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, BinaryIO, Sequence
 
 import numpy as np
@@ -57,15 +58,6 @@ def _integer(value: Any) -> int:
     return int(value)
 
 
-def _plain(values: list) -> bool:
-    """Whether the per-value rules would keep ``values`` as they are: each has the
-    exact type int or float, and all are finite. A shortcut past them, not a rule."""
-    try:  # fsum reads each value as a float: a huge int overflows, inf - inf is a ValueError
-        return {int, float}.issuperset(map(type, values)) and math.isfinite(math.fsum(values))
-    except (OverflowError, ValueError):
-        return False
-
-
 def _number(value: Any) -> float:
     """``value`` as a finite float; bools, strings and other non-numbers are refused."""
     if type(value) not in (int, float) and (
@@ -81,6 +73,37 @@ def _number(value: Any) -> float:
     return number
 
 
+def _box_values(values: Sequence) -> tuple[float, float, float, float]:
+    """The x, y, w, h that Box keeps of four values, each read by _number, with
+    w, h >= 0. Exact floats whose sum is finite, so each is, need no reading."""
+    x, y, w, h = values
+    if not (type(x) is type(y) is type(w) is type(h) is float and math.isfinite(x + y + w + h)):
+        x, y, w, h = map(_number, values)
+    if w < 0 or h < 0:
+        raise ValueError(f"Box size must be non-negative, got w={w}, h={h}")
+    return x, y, w, h
+
+
+def _vertex_array(vertices: Any) -> np.ndarray:
+    """A read-only (V, 2) float64 copy of ``vertices``, V >= 3. A list or tuple of
+    pairs of exact ints and floats, all finite, takes one np.array call; any other
+    input is read a coordinate at a time by _number, which raises its errors."""
+    try:  # fsum reads each value as a float: a huge int overflows, inf - inf is a ValueError
+        plain = (type(vertices) in (list, tuple) and {2}.issuperset(map(len, vertices))
+                 and {int, float}.issuperset(map(type, flat := [*chain(*vertices)]))
+                 and math.isfinite(math.fsum(flat)))
+    except (TypeError, OverflowError, ValueError):  # TypeError: a vertex without a length
+        plain = False
+    if plain:
+        arr = np.array(flat, dtype=np.float64).reshape(-1, 2)
+    else:
+        arr = np.array([(_number(x), _number(y)) for x, y in vertices], dtype=np.float64)
+    if len(arr) < 3:
+        raise ValueError(f"polygon needs >= 3 vertices, got {len(arr)}")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle as (left, top, width, height) in pixel units."""
@@ -91,10 +114,8 @@ class Box:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h"):
-            object.__setattr__(self, name, _number(getattr(self, name)))
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"Box size must be non-negative, got w={self.w}, h={self.h}")
+        for name, value in zip("xywh", _box_values((self.x, self.y, self.w, self.h))):
+            object.__setattr__(self, name, value)
 
     @property
     def x2(self) -> float:
@@ -172,13 +193,16 @@ def _spans(m: RleMask) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_vertices(poly) -> np.ndarray:
-    verts = getattr(poly, "vertices", poly)
-    arr = np.asarray(verts, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise DegeneratePolygon(f"polygon needs >= 3 (x, y) vertices, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DegeneratePolygon("polygon vertices must be finite")
-    return arr
+    """A PolygonLabel's vertices as they are, read when it was built; any other
+    vertex sequence read by the same rule, whose refusal is a DegeneratePolygon."""
+    from .dataset import PolygonLabel  # dataset imports this module
+
+    if isinstance(poly, PolygonLabel):
+        return poly.vertices
+    try:
+        return _vertex_array(poly)
+    except (TypeError, ValueError) as exc:
+        raise DegeneratePolygon(str(exc)) from exc
 
 
 def _centers_below(v: np.ndarray, n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
 from .dataset import _DECODER, _class_id, _image_id, _refusal
 from .errors import DimensionMismatch, GeometryMismatch, InvalidRle, MalformedInput
 from .errors import NoGroundTruth, SchemaViolation
-from .geometry import Box, RleMask, _box_iou_matrix, _number, _plain, mask_iou, mask_to_bbox
+from .geometry import Box, RleMask, _box_iou_matrix, _box_values, _number, mask_iou, mask_to_bbox
 from .geometry import rasterize_polygon
 
 __all__ = [
@@ -63,14 +64,20 @@ class Detection:
     geometry: Box | RleMask
 
     def __post_init__(self) -> None:
-        _image_id(self.image_id)
-        class_id, score = _class_id(self.class_id), _number(self.score)
-        if not (0.0 <= score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score!r}")
+        fields = _detection_fields(self.image_id, self.class_id, self.score)
         if not isinstance(self.geometry, (Box, RleMask)):
             raise TypeError("geometry must be a Box or RleMask")
-        object.__setattr__(self, "class_id", class_id)
-        object.__setattr__(self, "score", score)
+        for name, value in zip(("image_id", "class_id", "score"), fields):
+            object.__setattr__(self, name, value)
+
+
+def _detection_fields(image_id, class_id, score) -> tuple[str, int, float]:
+    """The image id, class id and score that Detection keeps, each read by its rule."""
+    image_id, class_id = _image_id(image_id), _class_id(class_id)
+    number = score if type(score) is float and math.isfinite(score) else _number(score)
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score!r}")
+    return image_id, class_id, number
 
 
 @dataclass(frozen=True)
@@ -253,11 +260,11 @@ def average_precision(curve: PrCurve) -> float | None:
     """
     if curve.n_gt == 0:
         return None
-    tp = np.array(curve.tp_cumulative, dtype=np.int64)
-    gain = np.diff(tp, prepend=0)  # new true positives at each rank
-    rising = np.flatnonzero(gain > 0)[::-1]
+    tps = curve.tp_cumulative
+    rising = [(i, tp, tp - before)  # rank, TP, new true positives; Python ints of any size
+              for i, (before, tp) in enumerate(zip((0, *tps), tps), start=1) if tp > before]
     total, step_tp, step_rank, step_gain = Fraction(0), 0, 1, 0
-    for i, tp_i, gain_i in zip((rising + 1).tolist(), tp[rising].tolist(), gain[rising].tolist()):
+    for i, tp_i, gain_i in reversed(rising):
         if tp_i * step_rank > step_tp * i:
             total += Fraction(step_tp * step_gain, step_rank)
             step_tp, step_rank, step_gain = tp_i, i, 0
@@ -432,15 +439,9 @@ def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
         yield Detection(image_id, class_id, score, Box(*box) if mask is None else mask)
 
 
-def _plain_box(bbox: list) -> bool:
-    """Whether Box would keep ``bbox`` as it is: exact, finite numbers with w, h >= 0."""
-    return _plain(bbox) and bbox[2] >= 0 <= bbox[3]
-
-
 def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
-    """The row of each prediction line, decoded and checked once. A line whose
-    fields have the exact types and ranges the constructors keep builds no
-    Detection; any other line is read through one, which raises a bad line's error."""
+    """The row of each prediction line, decoded once and checked by the rules
+    the constructors use, without building a Detection; a bad line raises its error."""
     for n, line in enumerate(source, start=1):
         try:
             stripped = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
@@ -468,27 +469,15 @@ def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
             raise SchemaViolation(f"prediction line {n}: rle must be an object")
         try:  # the geometry first: its errors come before those of the other fields
             if has_bbox:
-                box, mask = bbox if _plain_box(bbox) else _xywh(Box(*bbox)), None
+                box, mask = _box_values(bbox), None
             else:
                 box, mask = _xywh(None), RleMask(rle["width"], rle["height"], rle["runs"])
-            image_id, class_id, score = obj["image_id"], obj["class_id"], obj["score"]
-            # exact types and ranges that Detection keeps, ASCII ids; a NaN score fails too
-            if not (type(image_id) is str and image_id and image_id.isascii()
-                    and type(class_id) is int and class_id in CLASS_NAMES
-                    and type(score) in (int, float) and 0 <= score <= 1):
-                det = Detection(image_id, class_id, score, Box(*box) if mask is None else mask)
-                image_id, class_id, score = det.image_id, det.class_id, det.score
+            fields = _detection_fields(obj["image_id"], obj["class_id"], obj["score"])
         except (KeyError, TypeError, ValueError) as exc:
             raise _refusal(f"prediction line {n}", exc) from exc
         except InvalidRle as exc:
             raise InvalidRle(f"prediction line {n}: {exc}") from exc
-        yield image_id, class_id, score, box, mask
-
-
-def _read_columns(source: Iterable[bytes | str]) -> _Columns:
-    """:func:`read_predictions` into columns, one line at a time, through the
-    same :func:`_rows`, so a bad line raises what read_predictions raises."""
-    return _columns(_rows(source))
+        yield (*fields, box, mask)
 
 
 def write_predictions(dets: Iterable[Detection], sink: IO[str]) -> int:

@@ -43,20 +43,10 @@ def pixel_center_oracle(vertices, width: int, height: int) -> np.ndarray:
     return bits
 
 
-def _iou_xywh(a, b) -> float:
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    iw = min(ax + aw, bx + bw) - max(ax, bx)
-    ih = min(ay + ah, by + bh) - max(ay, by)
-    inter = iw * ih if (iw > 0 and ih > 0) else 0.0
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
-
-
 def nms_reference(boxes, scores, threshold: float) -> list[int]:
     """O(n^2) suppression: full pairwise IoU table, then eager marking."""
     n = len(boxes)
-    table = [[_iou_xywh(boxes[i], boxes[j]) for j in range(n)] for i in range(n)]
+    table = [[box_iou_reference(boxes[i], boxes[j]) for j in range(n)] for i in range(n)]
     order = sorted(range(n), key=lambda i: (-scores[i], i))
     suppressed = [False] * n
     kept = []

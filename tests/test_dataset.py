@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivearea import dataset
+from drivearea import dataset, geometry
 from drivearea.dataset import (
     ALTERNATIVE,
     DIRECT,
@@ -26,7 +26,8 @@ from drivearea.dataset import (
     parse_labels,
     write_normalized,
 )
-from drivearea.errors import IoFailure, MalformedInput, SchemaViolation
+from drivearea.errors import DegeneratePolygon, IoFailure, MalformedInput, SchemaViolation
+from drivearea.geometry import polygon_area, polygon_perimeter, rasterize_polygon
 
 from conftest import RECT, TRI, bdd_entry, drivable_label
 from reference import normalized_bytes, polygon_vertices
@@ -365,6 +366,7 @@ _TRI = [[0, 0], [4, 0], [2, 3]]
 _VERTICES_JSON = {
     "bool": [[True, 0], [4, 0], [2, 3]],
     "string": [["1.5", 0], [4, 0], [2, 3]],
+    "numeric-strings": [["0", "0"], ["4", "0"], ["4", "4"]],
     "none-coordinate": [[0, None], [4, 0], [2, 3]],
     "none-vertices": None,
     "nan": [[0, 0], [float("nan"), 0], [2, 3]],
@@ -372,6 +374,7 @@ _VERTICES_JSON = {
     "-inf": [[float("-inf"), 0], [4, 0], [2, 3]],
     "inf-minus-inf": [[float("inf"), float("-inf")], [4, 0], [2, 3]],
     "huge-int": [[0, 0], [10**400, 0], [2, 3]],
+    "int-2**1024": [[0, 0], [4, 2**1024], [2, 3]],
     "sum-beyond-float-range": [[1e308, 1e308], [4, 0], [2, 3]],
     "big-int": [[0, 0], [2**80 + 1, 2**53 + 1], [2, 3]],
     "ragged-short": [[0, 0], [4], [2, 3]],
@@ -389,6 +392,7 @@ _VERTICES_JSON = {
     "two": [[0, 0], [4, 0]],
     "object": {"a": 1},
     "string-vertices": "abc",
+    "one-char-vertices": "x",
     "number-vertices": 3,
     "exact-ints": _TRI,
     "signed-zeros": [[-0.0, 0], [4, -0.0], [2, 3]],
@@ -436,6 +440,27 @@ class TestVertexArray:
         supply = _ONE_SHOT.get(name, lambda: {**_VERTICES_JSON, **_VERTICES_PYTHON}[name])
         got = _outcome(lambda: [list(v) for v in PolygonLabel(1, supply()).vertices.tolist()])
         want = _outcome(lambda: [list(v) for v in polygon_vertices(supply())])
+        assert got == want
+
+    @pytest.mark.parametrize("name", [*_VERTICES_JSON, *_VERTICES_PYTHON, *_ONE_SHOT])
+    def test_polygon_functions_refuse_what_labels_refuse(self, name):
+        supply = _ONE_SHOT.get(name, lambda: {**_VERTICES_JSON, **_VERTICES_PYTHON}[name])
+        label = _outcome(lambda: PolygonLabel(1, supply()))
+        for polygon_function in (lambda v: rasterize_polygon(v, 8, 8), polygon_area,
+                                 polygon_perimeter):
+            with np.errstate(over="ignore", invalid="ignore"):  # areas of 1e308-wide polygons
+                got = _outcome(lambda: polygon_function(supply()))
+                if isinstance(label, PolygonLabel):  # repr, so that a NaN area equals itself
+                    assert repr(got) == repr(polygon_function(label))
+                else:
+                    assert got == (DegeneratePolygon, label[1])
+
+    def test_polygon_functions_use_label_vertices_as_they_are(self):
+        label = PolygonLabel(1, [[0.5, 0], [7, 1.5], [3, 6]])
+        want = rasterize_polygon(label, 8, 8), polygon_area(label), polygon_perimeter(label)
+        with mock.patch.object(geometry, "_vertex_array",
+                               side_effect=AssertionError("vertices read again")):
+            got = rasterize_polygon(label, 8, 8), polygon_area(label), polygon_perimeter(label)
         assert got == want
 
     @pytest.mark.parametrize("vertices", [

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drivearea import metrics
 
@@ -254,11 +254,14 @@ class TestEnvelopeAp:
         want = average_precision_reference(tps, n_gt)
         assert average_precision(PrCurve(n_gt, tps)) == want
 
-    @given(st.lists(st.integers(-3, 30), max_size=60), st.integers(1, 40))
+    @given(st.lists(st.integers(-3, 30) | st.integers(2**63 - 3, 2**80), max_size=60),
+           st.integers(1, 40))
     @settings(max_examples=300, deadline=None)
+    @example([2**63], 1)
+    @example([-(2**70), 2**64, 2**64 + 1], 3)
     def test_any_counts_equal_fraction_per_rank(self, tps, n_gt):
-        # Counts no sweep produces (falling, negative, above the rank) take
-        # the exact comparisons and still give the same rational.
+        # Counts no sweep produces (falling, negative, above the rank, beyond
+        # int64) take the exact comparisons and still give the same rational.
         want = average_precision_reference(tps, n_gt)
         assert average_precision(PrCurve(n_gt, tuple(tps))) == want
 
@@ -625,8 +628,8 @@ class TestColumnReader:
         cfg = MatchConfig(iou_kind=kind)
         want = _outcome(lambda: evaluate(_READER_INDEX, list(read_predictions(io.BytesIO(text))),
                                          cfg, strict_orphans=strict))
-        got = _outcome(lambda: evaluate(_READER_INDEX, metrics._read_columns(io.BytesIO(text)),
-                                        cfg, strict_orphans=strict))
+        got = _outcome(lambda: evaluate(_READER_INDEX, metrics._columns(metrics._rows(
+            io.BytesIO(text))), cfg, strict_orphans=strict))
         assert got == want
 
     @pytest.mark.parametrize("where", sorted(_HOSTILE) + ["text"])
@@ -643,14 +646,14 @@ class TestColumnReader:
                 lines[3] = json.dumps(_corrupt(damaged, where, value))
             text = [line.encode() for line in lines]
             want = _outcome(lambda: evaluate(_READER_INDEX, list(read_predictions(text))))
-            got = _outcome(lambda: evaluate(_READER_INDEX, metrics._read_columns(text)))
+            got = _outcome(lambda: evaluate(_READER_INDEX, metrics._columns(metrics._rows(text))))
             assert got == want, (value, as_box)
 
     def test_short_boxes_on_two_lines_are_refused(self):
         # Two 2-value boxes would fill one 4-value row, which numpy broadcasts to both.
         line = json.dumps({"image_id": "a", "class_id": 1, "score": 0.5, "bbox": [0, 1]}).encode()
         with pytest.raises(SchemaViolation, match="line 1: bbox must be"):
-            metrics._read_columns([line, line])
+            metrics._columns(metrics._rows([line, line]))
 
     def test_huge_ints_that_cancel_are_refused(self):
         # Their sum is small, but neither value fits a float.
@@ -658,11 +661,12 @@ class TestColumnReader:
                            "bbox": [10**400, -10**400, 1, 1]}).encode()
         want = _outcome(lambda: list(read_predictions([line])))
         assert want[0] is SchemaViolation
-        assert _outcome(lambda: metrics._read_columns([line])) == want
+        assert _outcome(lambda: metrics._columns(metrics._rows([line]))) == want
 
     def test_clean_lines_take_the_column_path(self, monkeypatch):
-        """Plain box and RLE lines build no Detection or Box; lines whose class
-        id is an integral float build them and give the same columns."""
+        """The reader checks each field by the constructors' rules without building
+        a Detection or a Box; lines whose class id is an integral float give the
+        same columns as plain lines."""
         plain, integral = _reader_lines(False), _reader_lines(True)
         want = metrics._columns(map(metrics._row, read_predictions(plain)))
         built = []
@@ -670,13 +674,13 @@ class TestColumnReader:
             checked = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__",
                                 lambda obj, checked=checked: built.append(type(obj)) or checked(obj))
-        _assert_same_columns(metrics._read_columns(plain), want)
+        _assert_same_columns(metrics._columns(metrics._rows(plain)), want)
+        _assert_same_columns(metrics._columns(metrics._rows(integral)), want)
         assert built == []
-        _assert_same_columns(metrics._read_columns(integral[:2] + plain[2:]), want)
-        assert built == [Box, Detection, Detection]  # a box line, then an RLE line
 
     @pytest.mark.parametrize("read", [lambda lines: list(read_predictions(lines)),
-                                      metrics._read_columns], ids=["detections", "columns"])
+                                      lambda lines: metrics._columns(metrics._rows(lines))],
+                             ids=["detections", "columns"])
     def test_each_line_is_decoded_once(self, monkeypatch, read):
         """A valid line that is not plain (an integral-float class id) is decoded once."""
         decode, calls = json.JSONDecoder.raw_decode, []
@@ -690,7 +694,7 @@ class TestColumnReader:
             source = list(itertools.islice(itertools.cycle(_reader_lines(False)), n_lines))
             tracemalloc.start()
             try:
-                cols = metrics._read_columns(source)
+                cols = metrics._columns(metrics._rows(source))
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
