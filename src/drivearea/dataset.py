@@ -77,6 +77,7 @@ CONDITION_AXES = ("weather", "scene", "timeofday")
 _TAG_ALIASES = {"gas-stations": "gas-station"}
 
 _SEPARATORS = re.compile(r"[\s/]+")
+_SHARED_KEYS: dict[ConditionKey, ConditionKey] = {}  # one per normalized triple: 7 x 7 x 4 at most
 
 
 def normalize_tag(raw: object, vocabulary: tuple[str, ...]) -> str:
@@ -109,7 +110,7 @@ def _image_id(value: Any) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionKey:
     """Normalized (weather, scene, timeofday) triple for stratification."""
 
@@ -119,14 +120,15 @@ class ConditionKey:
 
     @classmethod
     def from_attributes(cls, attrs: object) -> "ConditionKey":
-        """The triple from a BDD ``attributes`` object; anything else reads as absent."""
+        """The shared key of the triple in a BDD ``attributes`` object; others read as absent."""
         if not isinstance(attrs, Mapping):
             attrs = {}
-        return cls(
+        key = cls(
             weather=normalize_tag(attrs.get("weather"), WEATHER_TAGS),
             scene=normalize_tag(attrs.get("scene"), SCENE_TAGS),
             timeofday=normalize_tag(attrs.get("timeofday"), TIMEOFDAY_TAGS),
         )
+        return _SHARED_KEYS.setdefault(key, key)
 
     def axis(self, name: str) -> str:
         if name not in CONDITION_AXES:
@@ -134,7 +136,7 @@ class ConditionKey:
         return getattr(self, name)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PolygonLabel:
     """One drivable-area polygon with its class (1 = direct, 2 = alternative).
 
@@ -161,7 +163,7 @@ class PolygonLabel:
         return PolygonLabel, (self.class_id, self.vertices.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRecord:
     """One annotated frame."""
 
@@ -237,37 +239,44 @@ class DropReport:
             raise ValueError("kept + dropped must equal total_in")
 
 
-_READ_SIZE = 1 << 20  # bytes per read of a raw BDD array
+_READ_SIZE = 1 << 16  # bytes per read of a label file: the window, unless one entry outgrows it
 _DECODER = json.JSONDecoder()
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
-_WS, _OPEN = re.compile(r"[ \t\n\r]*"), re.compile(r"[ \t\n\r]*\[")
-_COMMA, _CLOSE = re.compile(r"[ \t\n\r]*,"), re.compile(r"[ \t\n\r]*\][ \t\n\r]*")
+_WS, _COMMA = re.compile(r"[ \t\n\r]*"), re.compile(r"[ \t\n\r]*,")
+# A root array, or a root object of one member, a "records" array: its opening, and its end.
+_OPEN = re.compile(r'[ \t\n\r]*(?:\[|(\{)[ \t\n\r]*"records"[ \t\n\r]*:[ \t\n\r]*\[)')
+_CLOSE = re.compile(r"[ \t\n\r]*\][ \t\n\r]*"), re.compile(r"[ \t\n\r]*\][ \t\n\r]*\}[ \t\n\r]*")
 
 
-def _read_json(raw: bytes | IO[bytes]) -> Iterator[Any]:
-    """Yield the root that json.loads returns, but for an array root yield ``[]`` and then
-    the elements, decoded one at a time from reads that double while one outgrows the
-    window. A document that json.loads refuses is handed to it whole, to raise its error."""
+def _read_json(raw: bytes | IO[bytes]) -> Iterator[tuple[int | None, Any]]:
+    """Yield (None, root) for the root that json.loads returns. A root array, and a root
+    object whose one member is a "records" array, come with that array empty, [] or
+    {"records": []}, and then (i, element) for each element, decoded one at a time from
+    reads that double while one outgrows the window. A document that json.loads refuses is
+    handed to it whole, to raise its error; one that it reads but the window cannot (an
+    object with other members, say) is yielded again from json.loads, from a new root."""
     src = raw if hasattr(raw, "read") else io.BytesIO(raw)
     src = src if src.seekable() else io.BytesIO(src.read())  # a refused file is read again
-    start, count, size, eof, opened = src.tell(), 0, _READ_SIZE, False, None
+    start, i, size, eof = src.tell(), 0, _READ_SIZE, False
     with suppress(ValueError):  # bytes that do not decode: json.loads reports them
         data = src.read(max(size, 4))  # json.loads picks the encoding from four bytes
         decoder = codecs.getincrementaldecoder(json.detect_encoding(data))("surrogatepass")
         text = decoder.decode(data)
-        if opened := _OPEN.match(text):
-            yield []
-            pos = opened.end()
+        while not (opened := _OPEN.match(text)) and len(text) < 64 and (data := src.read(size)):
+            text += decoder.decode(data)  # the whole opening, unless whitespace pads it out
+        if opened:
+            yield None, {"records": []} if opened[1] else []
+            pos, close = opened.end(), _CLOSE[bool(opened[1])]
         while opened:
             try:
                 element, end = _DECODER.raw_decode(text, _WS.match(text, pos).end())
-                sep = _COMMA.match(text, end) or eof and _CLOSE.fullmatch(text, end)
+                sep = _COMMA.match(text, end) or eof and close.fullmatch(text, end)
             except (ValueError, RecursionError):  # cut by the window, or not JSON
                 sep = None
             if sep:
-                yield element
-                count, pos, size = count + 1, sep.end(), _READ_SIZE
-                if sep.re is _CLOSE:
+                yield i, element
+                i, pos, size = i + 1, sep.end(), _READ_SIZE
+                if sep.re is close:
                     return
             elif eof:
                 break
@@ -280,7 +289,9 @@ def _read_json(raw: bytes | IO[bytes]) -> Iterator[Any]:
     except (ValueError, RecursionError) as exc:  # also bad bytes, huge integers, deep nesting
         at = f" at line {exc.lineno}, column {exc.colno}" if hasattr(exc, "colno") else ""
         raise MalformedInput(f"invalid JSON{at}: {getattr(exc, 'msg', exc)}") from exc
-    yield from doc[count:] if opened else [doc]
+    items = doc.get("records") if isinstance(doc, dict) else doc
+    yield None, ([] if items is doc else {"records": []}) if isinstance(items, list) else doc
+    yield from enumerate(items) if isinstance(items, list) else ()
 
 
 def _refusal(where: str, exc: KeyError | TypeError | ValueError) -> SchemaViolation:
@@ -340,7 +351,7 @@ def _parse_bdd_entry(
     return record, warnings, rejected and not labels
 
 
-def _parse_normalized_record(i: int, rec: Any) -> ImageRecord:
+def _parse_normalized_record(i: int, rec: Any, _dims: object) -> tuple[ImageRecord, int, bool]:
     if not isinstance(rec, dict):
         raise SchemaViolation(f"record {i}: expected an object")
     polys = rec.get("polygons") or []
@@ -356,9 +367,10 @@ def _parse_normalized_record(i: int, rec: Any) -> ImageRecord:
             raise _refusal(f"record {i}, polygon {j}", exc) from exc
     try:
         conditions = ConditionKey.from_attributes(rec)
-        return ImageRecord(rec["image_id"], rec["width"], rec["height"], conditions, tuple(labels))
+        record = ImageRecord(rec["image_id"], rec["width"], rec["height"], conditions, labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise _refusal(f"record {i}", exc) from exc
+    return record, 0, False
 
 
 def parse_labels(
@@ -371,38 +383,33 @@ def parse_labels(
     with unusable geometry are rejected and tallied in
     ``DatasetIndex.parse_warnings``. Image dimensions default to
     ``default_dims`` when the file does not carry them (raw BDD never does).
-    Raw BDD entries are decoded one at a time; a normalized file is decoded whole.
+    Raw BDD arrays and normalized files as written here are decoded an entry at a time
+    from 64 KiB reads; an object with other members than "records" is decoded whole.
 
     Raises:
         MalformedInput: the bytes are not valid JSON, even after a schema error.
         SchemaViolation: the JSON does not match either supported schema.
     """
-    values = _read_json(raw)
-    data = next(values)
-    records: list[ImageRecord] = []
-    warnings = 0
-    degenerate: list[str] = []
-
-    if isinstance(data, list):  # raw BDD entries, or [] and the entries one at a time
-        try:
-            for i, entry in enumerate(data or values):
-                record, w, was_degenerate = _parse_bdd_entry(i, entry, default_dims)
-                warnings += w
-                if was_degenerate:
-                    degenerate.append(record.image_id)
-                records.append(record)
-        except SchemaViolation:
-            for _ in values:  # invalid JSON anywhere in the file is reported first
-                pass
-            raise
-    elif isinstance(data, dict) and isinstance(data.get("records"), list):
-        for i, rec in enumerate(data["records"]):
-            records.append(_parse_normalized_record(i, rec))
-    else:
-        raise SchemaViolation(
+    parse, fail, records, warnings, degenerate = None, None, [], 0, []
+    for i, value in _read_json(raw):
+        if i is None:  # a root, which replaces all read before it
+            parse = _parse_bdd_entry if value == [] else (
+                _parse_normalized_record if value == {"records": []} else None)
+            fail, records, warnings, degenerate = None, [], 0, []
+        elif not fail:  # after a SchemaViolation, read on: invalid JSON is reported first
+            try:
+                record, w, was_degenerate = parse(i, value, default_dims)
+            except SchemaViolation as exc:
+                fail = exc
+                continue
+            warnings += w
+            if was_degenerate:
+                degenerate.append(record.image_id)
+            records.append(record)
+    if fail or not parse:
+        raise fail or SchemaViolation(
             "annotation file must be a JSON array (BDD) or an object with a 'records' array"
         )
-
     return DatasetIndex(
         records=tuple(records),
         parse_warnings=warnings,

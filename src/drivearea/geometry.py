@@ -85,17 +85,21 @@ def _box_values(values: Sequence) -> tuple[float, float, float, float]:
 
 
 def _vertex_array(vertices: Any) -> np.ndarray:
-    """A read-only (V, 2) float64 copy of ``vertices``, V >= 3. A list or tuple of
-    pairs of exact ints and floats, all finite, takes one np.array call; any other
-    input is read a coordinate at a time by _number, which raises its errors."""
+    """A read-only (V, 2) float64 copy of ``vertices``, V >= 3. A finite float64 (V, 2) array,
+    or a list or tuple of pairs of finite exact ints and floats, takes one np.array call; any
+    other input is read a coordinate at a time by _number, which raises its errors."""
     try:  # fsum reads each value as a float: a huge int overflows, inf - inf is a ValueError
         plain = (type(vertices) in (list, tuple) and {2}.issuperset(map(len, vertices))
                  and {int, float}.issuperset(map(type, flat := [*chain(*vertices)]))
                  and math.isfinite(math.fsum(flat)))
     except (TypeError, OverflowError, ValueError):  # TypeError: a vertex without a length
         plain = False
-    if plain:
-        arr = np.array(flat, dtype=np.float64).reshape(-1, 2)
+    if (type(vertices) is np.ndarray and vertices.dtype == np.float64
+            and vertices.shape[1:] == (2,) and np.isfinite(vertices).all()):
+        arr = vertices.copy()
+    elif plain:
+        arr = np.array(flat, dtype=np.float64)
+        arr.resize(len(flat) // 2, 2, refcheck=False)  # in place, where reshape keeps a view
     else:
         arr = np.array([(_number(x), _number(y)) for x, y in vertices], dtype=np.float64)
     if len(arr) < 3:
@@ -214,11 +218,15 @@ def _centers_below(v: np.ndarray, n: int) -> np.ndarray:
     return np.clip(np.ceil(np.fmax(v, -np.inf) - 0.5), 0, n).astype(np.int64)
 
 
-def _edge_rows(verts: np.ndarray, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge's first active row and its number of active rows: the rows whose
-    center cy has min(y1, y2) <= cy < max(y1, y2). Refuses a polygon whose
-    crossings, the sum of those numbers, exceed the budget."""
-    y1, y2 = verts[:, 1], np.roll(verts[:, 1], -1)
+def _next(verts: np.ndarray) -> np.ndarray:
+    """Each edge's end: the vertices from the second on, then the first."""
+    return np.concatenate((verts[1:], verts[:1]))
+
+
+def _edge_rows(y1: np.ndarray, y2: np.ndarray, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """For edges from y1 to y2, each one's first active row and its number of active rows:
+    the rows whose center cy has min(y1, y2) <= cy < max(y1, y2). Refuses a polygon
+    whose crossings, the sum of those numbers, exceed the budget."""
     lo = _centers_below(np.minimum(y1, y2), height)
     counts = _centers_below(np.maximum(y1, y2), height) - lo
     if (crossings := int(counts.sum())) > _MAX_CROSSINGS:
@@ -231,7 +239,7 @@ def _edge_rows(verts: np.ndarray, height: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_crossings(verts: np.ndarray, height: int) -> None:
     """Refuse a polygon over the crossing budget, counted only if edges x rows exceed it."""
     if len(verts) * height > _MAX_CROSSINGS:
-        _edge_rows(verts, height)
+        _edge_rows(verts[:, 1], _next(verts)[:, 1], height)
 
 
 def rasterize_polygon(poly, width: int, height: int) -> RleMask:
@@ -262,9 +270,9 @@ def rasterize_polygon(poly, width: int, height: int) -> RleMask:
     if width <= 0 or height <= 0:
         raise ValueError(f"grid must be positive, got {width}x{height}")
     verts = _as_vertices(poly)
+    (x1, y1), (x2, y2) = verts.T, _next(verts).T
     # Edge k is active on counts[k] rows from lo[k]: the same half-open test as above.
-    lo, counts = _edge_rows(verts, height)
-    (x1, y1), (x2, y2) = verts.T, np.roll(verts, -1, axis=0).T
+    lo, counts = _edge_rows(y1, y2, height)
     edge = np.repeat(np.arange(len(verts)), counts)
     row = np.arange(edge.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     cy = row + 0.5
@@ -371,19 +379,29 @@ def rle_decode(r: RleMask) -> np.ndarray:
 
 
 def polygon_area(poly) -> float:
-    """Absolute shoelace area of a polygon, in square pixels."""
+    """Absolute shoelace area of a polygon, in square pixels; inf only out of the float range."""
     verts = _as_vertices(poly)
-    x = verts[:, 0]
-    y = verts[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    return abs(float(cross.sum())) / 2.0
+    (x, y), (x2, y2) = verts.T, _next(verts).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = abs(float((x * y2 - x2 * y).sum())) / 2.0
+    if math.isfinite(area):
+        return area
+    # A product overflowed: sum them exactly and round once, where inf - inf would be NaN.
+    from fractions import Fraction  # it imports decimal: only here, where it is needed
+    exact = abs(sum(Fraction(a) * Fraction(b) - Fraction(c) * Fraction(d)
+                    for a, b, c, d in zip(x.tolist(), y2.tolist(), x2.tolist(), y.tolist())))
+    try:
+        return float(exact / 2)
+    except OverflowError:
+        return math.inf
 
 
 def polygon_perimeter(poly) -> float:
-    """Total edge length of a polygon (closing edge included)."""
+    """Total edge length of a polygon (closing edge included); inf where that overflows."""
     verts = _as_vertices(poly)
-    diffs = np.roll(verts, -1, axis=0) - verts
-    return float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
+    with np.errstate(over="ignore"):  # an edge or a sum overflows only where its length does
+        diffs = _next(verts) - verts
+        return float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
 
 
 def write_pgm(m: RleMask, sink: BinaryIO) -> None:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drivearea import dataset, geometry
 from drivearea.dataset import (
@@ -21,6 +21,7 @@ from drivearea.dataset import (
     TIMEOFDAY_TAGS,
     WEATHER_TAGS,
     _parse_bdd_entry,
+    _parse_normalized_record,
     filter_drivable,
     normalize_tag,
     parse_labels,
@@ -203,6 +204,30 @@ class TestStratifyKey:
         index = parse_labels(three_image_bdd)
         rec = {r.image_id: r for r in index}["img-c.jpg"]
         assert rec.conditions == ConditionKey("undefined", "undefined", "undefined")
+
+    def test_equal_triples_share_one_key(self):
+        doc = json.dumps([
+            bdd_entry("a", attributes={"weather": "Rainy", "scene": "city street"}),
+            bdd_entry("b", attributes={"weather": " rainy ", "scene": "city-street",
+                                       "timeofday": "sharknado"}),
+            bdd_entry("c", attributes={"weather": "clear"}),
+        ]).encode()
+        a, b, c = parse_labels(doc)
+        assert a.conditions is b.conditions and a.conditions != c.conditions
+        assert a.conditions == ConditionKey("rainy", "city-street", "undefined")
+        buf = io.BytesIO()
+        write_normalized(DatasetIndex((a, b, c)), buf)
+        a2, b2, c2 = parse_labels(buf.getvalue())
+        assert a2.conditions is b2.conditions is a.conditions and c2.conditions is c.conditions
+
+    def test_records_and_keys_are_slotted_and_survive_copies(self):
+        key = ConditionKey("rainy", "highway", "night")
+        record = ImageRecord("a.jpg", 1280, 720, key, (PolygonLabel(1, RECT),))
+        for obj in (key, record, record.labels[0]):
+            assert not hasattr(obj, "__dict__")
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+                assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+        assert not pickle.loads(pickle.dumps(record)).labels[0].vertices.flags.writeable
 
 
 def _record(i, n_labels=1):
@@ -404,6 +429,16 @@ _VERTICES_PYTHON = {
     "numpy-bool": [[np.bool_(True), 0], [4, 0], [2, 3]],
     "numpy-nan": [[np.float32("nan"), 0], [4, 0], [2, 3]],
     "float64-array": np.array(_TRI, dtype=np.float64),
+    "float64-array-fortran": np.asfortranarray(np.array(_TRI, dtype=np.float64)),
+    "float64-array-inf": np.array([[0, 0], [4, np.inf], [2, 3]]),
+    "float64-array-nan": np.array([[np.nan, 0], [4, 0], [2, 3]]),
+    "float64-array-two": np.array([[0.0, 0.0], [4.0, 0.0]]),
+    "float64-array-empty": np.zeros((0, 2)),
+    "float64-array-3d": np.array(_TRI, dtype=np.float64)[:, :, None],
+    "float64-array-flat": np.array(_TRI, dtype=np.float64).ravel(),
+    "float64-array-subclass": np.array(_TRI, dtype=np.float64).view(
+        type("A", (np.ndarray,), {})),
+    "float32-array": np.array(_TRI, dtype=np.float32),
     "int-array": np.array(_TRI),
     "bool-array": np.array(_TRI, dtype=bool),
     "object-array": np.array([[0, 0], [4, None], [2, 3]], dtype=object),
@@ -448,12 +483,23 @@ class TestVertexArray:
         label = _outcome(lambda: PolygonLabel(1, supply()))
         for polygon_function in (lambda v: rasterize_polygon(v, 8, 8), polygon_area,
                                  polygon_perimeter):
-            with np.errstate(over="ignore", invalid="ignore"):  # areas of 1e308-wide polygons
-                got = _outcome(lambda: polygon_function(supply()))
-                if isinstance(label, PolygonLabel):  # repr, so that a NaN area equals itself
-                    assert repr(got) == repr(polygon_function(label))
-                else:
-                    assert got == (DegeneratePolygon, label[1])
+            got = _outcome(lambda: polygon_function(supply()))
+            if isinstance(label, PolygonLabel):
+                assert got == polygon_function(label)
+            else:
+                assert got == (DegeneratePolygon, label[1])
+
+    @pytest.mark.parametrize("name", ["exact-ints", "signed-zeros", "tuples", "numpy-floats",
+                                      "float64-array", "float64-array-fortran"])
+    def test_one_array_object_per_polygon(self, name):
+        assert PolygonLabel(1, {**_VERTICES_JSON, **_VERTICES_PYTHON}[name]).vertices.base is None
+
+    def test_parsed_vertices_are_no_views(self, three_image_bdd):
+        index = parse_labels(three_image_bdd)
+        buf = io.BytesIO()
+        write_normalized(index, buf)
+        for parsed in (index, parse_labels(buf.getvalue())):
+            assert all(p.vertices.base is None for r in parsed for p in r.labels)
 
     def test_polygon_functions_use_label_vertices_as_they_are(self):
         label = PolygonLabel(1, [[0.5, 0], [7, 1.5], [3, 6]])
@@ -659,11 +705,64 @@ def raw_documents(draw):
     return text.encode(encoding)
 
 
+_NORMALIZED_RECORDS = st.one_of(
+    st.fixed_dictionaries({
+        "image_id": _IDS,
+        "width": st.sampled_from([1280, 7, 7.0]),
+        "height": st.sampled_from([720, 3]),
+        "polygons": st.lists(st.fixed_dictionaries({
+            "class_id": st.sampled_from([1, 2, 2.0, 3]),
+            "vertices": st.lists(_VERTEX, min_size=2, max_size=5),
+        }), max_size=2),
+    }, optional={
+        "weather": st.sampled_from(["rainy", "Clear", 3]),
+        "scene": st.sampled_from(["city street", "gas stations"]),
+        "timeofday": st.sampled_from(["night", "dawn/dusk"]),
+    }),
+    st.fixed_dictionaries({"image_id": st.sampled_from(["", 5, "z"]),
+                           "width": st.sampled_from(["7", 0, 7]), "height": st.just(3)}),
+    _JSON_SCALARS,
+)
+# "records" as written, escaped (json.loads reads both alike), and other member names
+_MEMBER_NAMES = st.sampled_from(['"records"', '"\\u0072ecords"', '"meta"', '"Records"'])
+
+
+@st.composite
+def normalized_documents(draw):
+    """A normalized file as written here, or with other members before and after its
+    "records", repeated ones (json.loads keeps the last) and ones that are no array;
+    with the layout and encoding of a real-world file."""
+    members = [('"records"', draw(st.lists(_NORMALIZED_RECORDS, max_size=5)))]
+    if draw(st.booleans()):
+        other = st.tuples(_MEMBER_NAMES, st.one_of(st.lists(_NORMALIZED_RECORDS, max_size=2),
+                                                   _JSON_SCALARS))
+        members = draw(st.lists(other, max_size=2)) + members + draw(st.lists(other, max_size=2))
+    layout = dict(
+        indent=draw(st.sampled_from([None, 0, 2, "\t", "\r\n "])),
+        separators=draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")])),
+        ensure_ascii=draw(st.booleans()),
+    )
+    ws = st.text(st.sampled_from(" \t\r\n"), max_size=3)
+    text = ",".join(f"{draw(ws)}{name}{draw(ws)}:{draw(ws)}{json.dumps(value, **layout)}{draw(ws)}"
+                    for name, value in members)
+    text = draw(ws) + "{" + text + "}" + draw(ws)
+    encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-32-be"]))
+    return text.encode(encoding)
+
+
 def _whole_document_parse(doc: bytes):
-    """What parse_labels reports for a raw BDD array, from json.loads of the whole file."""
+    """What parse_labels reports, from json.loads of the whole file."""
+    root = json.loads(doc)
+    if isinstance(root, list):
+        parse, entries = _parse_bdd_entry, root
+    elif isinstance(root, dict) and isinstance(root.get("records"), list):
+        parse, entries = _parse_normalized_record, root["records"]
+    else:
+        raise SchemaViolation(
+            "annotation file must be a JSON array (BDD) or an object with a 'records' array")
     records, warnings, degenerate = [], 0, []
-    for i, entry in enumerate(json.loads(doc)):
-        record, w, was_degenerate = _parse_bdd_entry(i, entry, dataset.DEFAULT_DIMS)
+    for i, entry in enumerate(entries):
+        record, w, was_degenerate = parse(i, entry, dataset.DEFAULT_DIMS)
         records.append(record)
         warnings += w
         degenerate += [record.image_id] if was_degenerate else []
@@ -678,12 +777,28 @@ def _result_or_refusal(parse, doc):
 
 
 class TestStreamingReader:
-    """A raw BDD array is decoded an entry at a time from a window of reads;
-    the result must be that of json.loads over the whole file."""
+    """A raw BDD array and a normalized file's "records" are decoded an entry at a
+    time from a window of reads; the result must be that of json.loads over the
+    whole file."""
 
     @given(raw_documents(), st.integers(1, 48))
     @settings(max_examples=300, deadline=None)
     def test_equals_whole_document_parse(self, doc, read_size):
+        self._assert_equals_whole_document_parse(doc, read_size)
+
+    @given(normalized_documents(), st.integers(1, 48))
+    @example(b"{}", 1)
+    @example(b'{"records": {}}', 2)
+    @example(b'{"records": [{"image_id": "a", "width": 4, "height": 4}], "records": 5}', 3)
+    @example(b'{"records": 5, "records": [{"image_id": "a", "width": 4, "height": 4}]}', 3)
+    @example(b'{"records": [{"image_id": ""}], "records": []}', 1)
+    @example(b'{"records": [], "meta": {"records": [7]}}', 1)
+    @settings(max_examples=300, deadline=None)
+    def test_normalized_equals_whole_document_parse(self, doc, read_size):
+        self._assert_equals_whole_document_parse(doc, read_size)
+
+    @staticmethod
+    def _assert_equals_whole_document_parse(doc, read_size):
         expected = _result_or_refusal(_whole_document_parse, doc)
         with mock.patch.object(dataset, "_READ_SIZE", read_size):
             got = _result_or_refusal(parse_labels, doc)
@@ -691,13 +806,18 @@ class TestStreamingReader:
             got = got.records, got.parse_warnings, got.degenerate_ids
         assert got == expected
 
-    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
-    def test_valid_array_is_never_decoded_whole(self, three_image_bdd, encoding):
-        doc = json.dumps(json.loads(three_image_bdd), indent=3).encode(encoding)
+    @pytest.mark.parametrize("encoding, normalized", [
+        ("utf-8", False), ("utf-8-sig", False), ("utf-16", False),
+        ("utf-8", True), ("utf-8-sig", True), ("utf-16", True),
+    ], ids=["utf-8", "utf-8-sig", "utf-16",
+            "normalized-utf-8", "normalized-utf-8-sig", "normalized-utf-16"])
+    def test_valid_array_is_never_decoded_whole(self, three_image_bdd, encoding, normalized):
+        index = parse_labels(three_image_bdd)
+        source = normalized_bytes(index) if normalized else three_image_bdd
+        doc = json.dumps(json.loads(source), indent=3).encode(encoding)
         with mock.patch.object(dataset, "_READ_SIZE", 8), \
                 mock.patch.object(dataset.json, "loads", side_effect=AssertionError):
-            index = parse_labels(doc)
-        assert index == parse_labels(three_image_bdd)
+            assert parse_labels(doc) == index
 
     def test_entry_larger_than_window_reads_in_doubling_steps(self):
         entry = bdd_entry("big", [drivable_label("direct", [(k, k % 7) for k in range(4000)])])
@@ -726,7 +846,7 @@ class TestStreamingReader:
             index = parse_labels(doc)
         assert [r.image_id for r in index] == ["a", "b", "c"]
 
-    @given(raw_documents(), st.integers(0, 10**6), st.sampled_from(
+    @given(st.one_of(raw_documents(), normalized_documents()), st.integers(0, 10**6), st.sampled_from(
         ["", "x", ",", "]", "[", "}", '"', "\\", "1", " ] ", "\n{"]), st.integers(0, 2),
         st.integers(1, 48))
     @settings(max_examples=300, deadline=None)
@@ -763,17 +883,9 @@ class TestStreamingReader:
             with pytest.raises(MalformedInput, match=f"^invalid JSON at {where}$"):
                 parse_labels(doc)
 
-    @pytest.mark.parametrize("frames", [1000, 4000])
-    def test_memory_follows_records_not_file(self, tmp_path, frames):
-        verts = [(float(k), float(k * k % 97)) for k in range(16)]
-        path = tmp_path / "raw.json"
-        path.write_text(json.dumps([
-            bdd_entry(f"f{i:05d}.jpg",
-                      [drivable_label("direct", verts), drivable_label("alternative", verts),
-                       {"category": "lane", "poly2d": [{"vertices": verts}]}],
-                      {"weather": "rainy", "scene": "highway", "timeofday": "night"})
-            for i in range(frames)
-        ], indent=1))
+    @staticmethod
+    def _parse_traced(path):
+        """The index read from ``path`` and the peak memory above what it holds."""
         with open(path, "rb") as fh:
             tracemalloc.start()
             try:
@@ -781,7 +893,36 @@ class TestStreamingReader:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+        return index, peak - held
+
+    @staticmethod
+    def _raw_file(path, frames):
+        verts = [(float(k), float(k * k % 97)) for k in range(16)]
+        path.write_text(json.dumps([
+            bdd_entry(f"f{i:05d}.jpg",
+                      [drivable_label("direct", verts), drivable_label("alternative", verts),
+                       {"category": "lane", "poly2d": [{"vertices": verts}]}],
+                      {"weather": "rainy", "scene": "highway", "timeofday": "night"})
+            for i in range(frames)
+        ], indent=1))
+        return path
+
+    @pytest.mark.parametrize("frames", [1000, 4000])
+    def test_memory_follows_records_not_file(self, tmp_path, frames):
+        index, above = self._parse_traced(self._raw_file(tmp_path / "raw.json", frames))
         assert len(index) == frames
-        # Decoding the 4000-frame file (10 MiB) whole peaks 41 MiB above what
-        # the index holds; one entry at a time, 3.4 MiB at either size.
-        assert peak - held < 8 * 2**20
+        # Decoding the 4000-frame file (10 MiB) whole peaks 41 MiB above what the
+        # index holds; an entry at a time, 0.3 MiB from 64 KiB reads at either size,
+        # and 3.6-4.5 MiB from 1 MiB reads.
+        assert above < 2**20
+
+    @pytest.mark.parametrize("frames", [1000, 4000])
+    def test_normalized_memory_follows_records_not_file(self, tmp_path, frames):
+        raw = self._raw_file(tmp_path / "raw.json", frames)
+        with open(raw, "rb") as src, open(tmp_path / "norm.json", "wb") as out:
+            write_normalized(parse_labels(src), out)
+        index, above = self._parse_traced(tmp_path / "norm.json")
+        assert len(index) == frames
+        # The 4000-frame file is 2 MiB. Decoded whole it peaks 24 MiB above the
+        # index; a record at a time, 0.2 MiB from 64 KiB reads and 3 MiB from 1 MiB.
+        assert above < 2**20

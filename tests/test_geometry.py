@@ -3,11 +3,12 @@ import io
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drivearea import geometry
 from drivearea.errors import DegeneratePolygon, DimensionMismatch, InvalidRle
@@ -110,6 +111,23 @@ def mask_pairs(draw):
 
     kinds = st.sampled_from(["empty", "full", "random", "spans"])
     return one(draw(kinds)), one(draw(kinds))
+
+
+_MEASURE_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 3.0, 1e308, -1e308, 1.7e308, 2.0**520, 2.0**-1074]),
+)
+
+
+def _rolled_measures(verts):
+    """Area and perimeter by the np.roll formulas, overflow and all: the reference
+    wherever they are finite."""
+    v = np.array(verts, dtype=np.float64)
+    x, y = v[:, 0], v[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = abs(float((x * np.roll(y, -1) - np.roll(x, -1) * y).sum())) / 2.0
+        diffs = np.roll(v, -1, axis=0) - v
+        return area, float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
 
 
 def dense_bbox(bits):
@@ -467,6 +485,46 @@ class TestPolygonMeasures:
 
     def test_perimeter(self):
         assert polygon_perimeter([(0, 0), (4, 0), (4, 3), (0, 3)]) == 14.0
+
+    @given(st.lists(st.tuples(_MEASURE_COORDS, _MEASURE_COORDS), min_size=3, max_size=8))
+    @example([(1e308, 1e308), (4, 0), (2, 3)])
+    @example([(0, 0), (2.0**520, 2.0**520), (2.0**520, 2.0**520 + 2.0**480)])
+    @settings(max_examples=300, deadline=None)
+    def test_measures_match_rolled_formulas_or_exact_area(self, verts):
+        # The suite turns numpy's overflow warnings into errors, so none may escape.
+        area, perimeter = polygon_area(verts), polygon_perimeter(verts)
+        rolled_area, rolled_perimeter = _rolled_measures(verts)
+        assert perimeter == rolled_perimeter
+        if math.isfinite(rolled_area):
+            assert area == rolled_area
+        else:  # the true area, rounded once
+            closed = list(zip(verts, verts[1:] + verts[:1]))
+            exact = abs(sum(Fraction(x) * Fraction(y2) - Fraction(x2) * Fraction(y)
+                            for (x, y), (x2, y2) in closed)) / 2
+            try:
+                assert area == float(exact)
+            except OverflowError:
+                assert area == math.inf
+
+    @pytest.mark.parametrize("verts, area, perimeter", [
+        ([(1e308, 1e308), (4, 0), (2, 3)], math.inf, math.inf),  # 2.5e308 each
+        ([(1.7e308, 0), (-1.7e308, 0), (0, 1)], 1.7e308, math.inf),
+        ([(0, 0), (2.0**520, 2.0**520), (2.0**520, 2.0**520 + 2.0**480)], 2.0**999, None),
+        # collinear: area 0, though each product overflows and scaling would round them apart
+        ([(3.980938401540955e+203, 5.4431370220542984e+203),
+          (3.980938402216805e+203, 5.4431370224362156e+203),
+          (3.980938402892656e+203, 5.443137022818133e+203)], 0.0, None),
+    ])
+    def test_near_the_float_limit(self, verts, area, perimeter):
+        # Used to return inf or NaN with numpy's RuntimeWarning, an error in this suite.
+        assert polygon_area(verts) == area
+        assert polygon_perimeter(verts) == (perimeter or _rolled_measures(verts)[1])
+
+    def test_float64_array_read_in_one_step(self):
+        verts = np.random.default_rng(0).uniform(0, 720, size=(20_000, 2))
+        with mock.patch.object(geometry, "_number", side_effect=AssertionError("per coordinate")):
+            measured = polygon_area(verts), polygon_perimeter(verts)
+        assert measured == (polygon_area(verts.tolist()), polygon_perimeter(verts.tolist()))
 
 
 class _DigestSink:
