@@ -40,13 +40,23 @@ def _writing_outputs():
         _fail(IoFailure(f"cannot write output: {exc}"))
 
 
+def _file_key(path: Path):
+    """An existing file's device and inode, which its hard links share; else its resolved path."""
+    try:
+        return (st := path.stat()).st_dev, st.st_ino
+    except OSError:
+        return path.resolve()
+
+
 def _refuse_collisions(inputs: dict[str, Path], outputs: dict[str, Path | None]) -> None:
-    """Fail with OutputCollision, before anything is written, when an output
-    resolves to an input file or to another output."""
-    seen = {path.resolve(): name for name, path in inputs.items()}
+    """Fail, before anything is read or written, when an output's directory does not
+    exist (IoFailure) or an output is an input file or another output (OutputCollision)."""
+    seen = {_file_key(path): name for name, path in inputs.items()}
     for name, path in outputs.items():
-        if path is not None and seen.setdefault(path.resolve(), name) != name:
-            _fail(OutputCollision(f"{name} {path} is the same file as {seen[path.resolve()]}"))
+        if path is not None and not path.parent.is_dir():
+            _fail(IoFailure(f"cannot write output: {name} {path}: {path.parent} is not a directory"))
+        if path is not None and seen.setdefault(key := _file_key(path), name) != name:
+            _fail(OutputCollision(f"{name} {path} is the same file as {seen[key]}"))
 
 
 def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
@@ -141,45 +151,45 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
 @click.option("--default-dims", default="1280x720", callback=_parse_dims, show_default=True)
 def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) -> None:
     """Rasterize polygons to one mask per (image, class): direct and alternative separately."""
+    import errno
+    import tempfile
+
     from . import dataset, geometry
     index = _load_index(labels, default_dims)
-    # Plan every file first, so that a name collision, a frame too large for
-    # a dense PGM or a polygon over the crossing budget writes nothing.
-    jobs: dict[str, tuple[dataset.ImageRecord, list[dataset.PolygonLabel]]] = {}
-    for record in index.records:
-        for class_id, class_name in sorted(dataset.CLASS_NAMES.items()):
-            polys = [p for p in record.labels if p.class_id == class_id]
-            if not polys:
-                continue
-            # "/" and NUL are the two bytes a POSIX file name cannot hold
-            stem = record.image_id.replace("/", "_").replace("\0", "_") + f".{class_name}"
-            if stem in jobs:
-                _fail(OutputCollision(
-                    f"image ids {jobs[stem][0].image_id!r} and {record.image_id!r} "
-                    f"both map to output file name {stem!r}"
-                ))
-            try:
-                if fmt == "pgm":
-                    geometry._check_dense(record.width, record.height)
-                for p in polys:
-                    geometry._check_crossings(p.vertices, record.height)
-            except DimensionMismatch as exc:
-                _fail(DimensionMismatch(f"image {record.image_id!r}: {exc}"))
-            jobs[stem] = (record, polys)
-    with _writing_outputs():
+    owners: dict[str, str] = {}  # file name -> the image id written there
+    # Files go to a scratch directory on --out's file system and move into --out
+    # only once all are written, so a refusal or a failed write leaves --out as it was.
+    base = next(p for p in (out, *out.parents) if p.is_dir())
+    with _writing_outputs(), tempfile.TemporaryDirectory(prefix=".rasterize-", dir=base) as tmp:
+        for record in index.records:
+            for class_id, class_name in sorted(dataset.CLASS_NAMES.items()):
+                if not (polys := [p for p in record.labels if p.class_id == class_id]):
+                    continue
+                # "/" and NUL are the two bytes a POSIX file name cannot hold
+                stem = record.image_id.replace("/", "_").replace("\0", "_") + f".{class_name}"
+                if (name := stem + (".pgm" if fmt == "pgm" else ".rle.json")) in owners:
+                    _fail(OutputCollision(f"image ids {owners[name]!r} and {record.image_id!r} "
+                                          f"both map to output file name {stem!r}"))
+                owners[name] = record.image_id
+                try:
+                    mask = geometry.mask_union(
+                        [geometry.rasterize_polygon(p, record.width, record.height) for p in polys])
+                    if (out / name).is_dir():  # found now, not by os.replace after earlier moves
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                    with open(Path(tmp, name), "wb") as fh:
+                        if fmt == "pgm":
+                            geometry.write_pgm(mask, fh)
+                        else:
+                            payload = {"width": mask.width, "height": mask.height, "runs": list(mask.runs)}
+                            fh.write(json.dumps(payload, separators=(",", ":")).encode("ascii"))
+                except DimensionMismatch as exc:
+                    _fail(DimensionMismatch(f"image {record.image_id!r}: {exc}"))
+                except OSError as exc:  # name the file in --out, not its scratch copy
+                    raise OSError(exc.errno, exc.strerror, str(out / name)) from None
         out.mkdir(parents=True, exist_ok=True)
-        for stem, (record, polys) in jobs.items():
-            mask = geometry.mask_union(
-                [geometry.rasterize_polygon(p, record.width, record.height) for p in polys]
-            )
-            if fmt == "pgm":
-                with open(out / f"{stem}.pgm", "wb") as fh:
-                    geometry.write_pgm(mask, fh)
-            else:
-                payload = {"width": mask.width, "height": mask.height, "runs": list(mask.runs)}
-                with open(out / f"{stem}.rle.json", "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(payload, separators=(",", ":")))
-    click.echo(json.dumps({"written": len(jobs)}, separators=(",", ":")))
+        for name in owners:
+            os.replace(Path(tmp, name), out / name)
+    click.echo(json.dumps({"written": len(owners)}, separators=(",", ":")))
 
 
 @main.command("eval")

@@ -223,25 +223,6 @@ def _next(verts: np.ndarray) -> np.ndarray:
     return np.concatenate((verts[1:], verts[:1]))
 
 
-def _edge_rows(y1: np.ndarray, y2: np.ndarray, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """For edges from y1 to y2, each one's first active row and its number of active rows:
-    the rows whose center cy has min(y1, y2) <= cy < max(y1, y2). Refuses a polygon
-    whose crossings, the sum of those numbers, exceed the budget."""
-    lo = _centers_below(np.minimum(y1, y2), height)
-    counts = _centers_below(np.maximum(y1, y2), height) - lo
-    if (crossings := int(counts.sum())) > _MAX_CROSSINGS:
-        raise DimensionMismatch(
-            f"polygon crosses {crossings} (edge, row) pairs, over the limit of {_MAX_CROSSINGS}"
-        )
-    return lo, counts
-
-
-def _check_crossings(verts: np.ndarray, height: int) -> None:
-    """Refuse a polygon over the crossing budget, counted only if edges x rows exceed it."""
-    if len(verts) * height > _MAX_CROSSINGS:
-        _edge_rows(verts[:, 1], _next(verts)[:, 1], height)
-
-
 def rasterize_polygon(poly, width: int, height: int) -> RleMask:
     """Rasterize a polygon into a width x height mask.
 
@@ -271,8 +252,14 @@ def rasterize_polygon(poly, width: int, height: int) -> RleMask:
         raise ValueError(f"grid must be positive, got {width}x{height}")
     verts = _as_vertices(poly)
     (x1, y1), (x2, y2) = verts.T, _next(verts).T
-    # Edge k is active on counts[k] rows from lo[k]: the same half-open test as above.
-    lo, counts = _edge_rows(y1, y2, height)
+    # Edge k is active on counts[k] rows from lo[k]: the rows whose center cy has
+    # min(y1, y2) <= cy < max(y1, y2), the same half-open test as above.
+    lo = _centers_below(np.minimum(y1, y2), height)
+    counts = _centers_below(np.maximum(y1, y2), height) - lo
+    if (crossings := int(counts.sum())) > _MAX_CROSSINGS:
+        raise DimensionMismatch(
+            f"polygon crosses {crossings} (edge, row) pairs, over the limit of {_MAX_CROSSINGS}"
+        )
     edge = np.repeat(np.arange(len(verts)), counts)
     row = np.arange(edge.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     cy = row + 0.5

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,12 @@ def unwritable(tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
     return blocker
+
+
+def tree(root):
+    """Every entry below ``root``, hidden ones too, with a file's bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
 
 
 class TestPreprocess:
@@ -82,7 +90,7 @@ class TestPreprocess:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
 
-    @pytest.mark.parametrize("spelling", ["same", "symlink"])
+    @pytest.mark.parametrize("spelling", ["same", "symlink", "hardlink"])
     def test_out_onto_labels_exits_2(self, runner, tmp_path, three_image_bdd, spelling):
         src = tmp_path / "labels.json"
         src.write_bytes(three_image_bdd)
@@ -90,6 +98,9 @@ class TestPreprocess:
         if spelling == "symlink":
             out = tmp_path / "link.json"
             out.symlink_to(src)
+        elif spelling == "hardlink":
+            out = tmp_path / "alias.json"
+            os.link(src, out)
         result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out)])
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: --out {out} is the same file as --labels")
@@ -165,6 +176,11 @@ THIN = ('{"records":[{"image_id":"thin","width":4,"height":2147483647,"polygons"
         '[{"class_id":1,"vertices":[[0,0],[4,0],[2,2147483647]]}]}]}')
 THIN_ERROR = ("error: image 'thin': polygon crosses 4294967294 (edge, row) pairs, "
               "over the limit of 1048576\n")
+# An image id whose mask file name is over the 255-byte name limit of common file
+# systems; the error names the file under --out ({out}), not a scratch copy.
+LONG_ID = "b" * 300
+LONG_ERROR = (f"error: cannot write output: [Errno {errno.ENAMETOOLONG}] "
+              f"{os.strerror(errno.ENAMETOOLONG)}: '{{out}}/{LONG_ID}.direct.rle.json'\n")
 
 
 class TestRasterize:
@@ -261,6 +277,100 @@ class TestRasterize:
                                  "--out", str(unwritable(tmp_path) / "masks")])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
+        assert sorted(tree(tmp_path)) == ["labels.json", "not-a-dir"]
+
+    # Each refusal, after image "a" has been rasterized: (image ids or records, format, stderr).
+    REFUSALS = {
+        "collision": (["a", "x/a", "x_a"], "rle", "error: image ids 'x/a' and 'x_a' both map to "
+                      "output file name 'x_a.direct'\n"),
+        "crossings": (None, "rle", THIN_ERROR),
+        "pgm-cap": (["a", "big"], "pgm", "error: image 'big': mask 16385x16385 exceeds the dense "
+                    "limit of 268435456 pixels\n"),
+        "long-name": (["a", LONG_ID], "rle", LONG_ERROR),
+    }
+
+    @pytest.mark.parametrize("kind", list(REFUSALS))
+    @pytest.mark.parametrize("prefilled", [True, False])
+    def test_refusal_leaves_out_as_it_was(self, runner, tmp_path, kind, prefilled):
+        ids, fmt, error = self.REFUSALS[kind]
+        if ids is None:
+            doc = json.loads(THIN)
+            doc["records"].insert(0, json.loads(self._records("a"))["records"][0])
+        else:
+            doc = json.loads(self._records(*ids))
+            for record in doc["records"]:
+                if record["image_id"] == "big":
+                    record["width"] = record["height"] = 2**14 + 1
+        src = tmp_path / "labels.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "masks"
+        if prefilled:
+            (out / "sub").mkdir(parents=True)
+            (out / "a.direct.rle.json").write_bytes(b"old mask")
+            (out / "a.direct.pgm").write_bytes(b"old pgm")
+            (out / ".keep").write_bytes(b"")
+        before = tree(tmp_path)
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out),
+                                 "--format", fmt])
+        assert result.exit_code == 2
+        assert result.stderr == error.format(out=out)
+        assert tree(tmp_path) == before
+        assert out.exists() == prefilled
+
+    def test_directory_at_a_file_name_leaves_out_as_it_was(self, runner, tmp_path):
+        src = tmp_path / "labels.json"
+        src.write_text(self._records("a", "b", "c"))
+        out = tmp_path / "masks"
+        (out / "b.direct.rle.json").mkdir(parents=True)
+        before = tree(tmp_path)
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write output: [Errno ")
+        assert result.stderr.endswith(f"Is a directory: '{out / 'b.direct.rle.json'}'\n")
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("fmt", ["rle", "pgm"])
+    @pytest.mark.parametrize("prefilled", [True, False])
+    def test_success_leaves_only_the_written_files(self, runner, tmp_path, fmt, prefilled):
+        src = tmp_path / "labels.json"
+        src.write_text(self._records("a", "x/b", "c"))
+        out = tmp_path / "masks"
+        suffix = ".pgm" if fmt == "pgm" else ".rle.json"
+        if prefilled:
+            out.mkdir()
+            (out / ".keep").write_bytes(b"kept")
+            (out / f"a.direct{suffix}").write_bytes(b"replaced")
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out),
+                                 "--format", fmt])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout) == {"written": 3}
+        written = [f"{stem}.direct{suffix}" for stem in ("a", "c", "x_b")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(written + [".keep"] * prefilled)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.json", "masks"]
+        assert (out / f"a.direct{suffix}").read_bytes() == (out / f"c.direct{suffix}").read_bytes()
+        if prefilled:
+            assert (out / ".keep").read_bytes() == b"kept"
+
+    def test_crossing_budget_reported_before_pgm_cap(self, runner, tmp_path):
+        # THIN is 4 x 2**31 - 1 pixels, over the dense cap too; its polygon is
+        # rasterized before a PGM is written, so the crossing budget is reported.
+        src = tmp_path / "labels.json"
+        src.write_text(THIN)
+        out = tmp_path / "masks"
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out),
+                                 "--format", "pgm"])
+        assert result.exit_code == 2
+        assert result.stderr == THIN_ERROR
+        assert not out.exists()
+
+    def test_failed_write_reported_before_a_later_collision(self, runner, tmp_path):
+        src = tmp_path / "labels.json"
+        src.write_text(self._records(LONG_ID, "x/a", "x_a"))
+        out = tmp_path / "masks"
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == LONG_ERROR.format(out=out)
+        assert sorted(tree(tmp_path)) == ["labels.json"]
 
     SIDE_ERROR = "error: record 0: image dimensions must be in"
 
@@ -334,6 +444,14 @@ class TestSynth:
         result = invoke(runner, args)
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
+
+    def test_missing_predictions_directory_exits_2_before_writing(self, runner, tmp_path):
+        labels = tmp_path / "gt.json"
+        result = invoke(runner, ["synth", "--n-images", "1", "--out-labels", str(labels),
+                                 "--out-predictions", str(tmp_path / "nodir" / "p.jsonl")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write output: --out-predictions ")
+        assert not labels.exists()
 
     @pytest.mark.parametrize("flag", ["--jitter", "--fp-rate", "--score-noise"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -469,6 +587,30 @@ class TestEval:
                                  "--out", str(unwritable(tmp_path) / "report.json")])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
+
+    def test_missing_csv_directory_exits_2_before_writing(self, runner, tmp_path):
+        labels, preds = self._synth_files(runner, tmp_path)
+        out = tmp_path / "r.json"
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(out), "--csv", str(tmp_path / "nodir" / "r.csv")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write output: --csv ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output", ["--out", "--csv"])
+    @pytest.mark.parametrize("source", ["--labels", "--predictions"])
+    def test_output_hard_linked_to_input_exits_2(self, runner, tmp_path, output, source):
+        labels, preds = self._synth_files(runner, tmp_path)
+        before = {labels: labels.read_bytes(), preds: preds.read_bytes()}
+        alias = tmp_path / "alias"
+        os.link(labels if source == "--labels" else preds, alias)
+        paths = {"--out": tmp_path / "r.json", "--csv": tmp_path / "r.csv", output: alias}
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(paths["--out"]), "--csv", str(paths["--csv"])])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {output} {alias} is the same file as {source}")
+        assert {p: p.read_bytes() for p in before} == before
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
     def test_out_and_csv_same_file_exits_2(self, runner, tmp_path):
         labels, preds = self._synth_files(runner, tmp_path)
