@@ -114,17 +114,18 @@ def _load_index(path: Path, default_dims: tuple[int, int]):
 @click.option("--keep-empty", is_flag=True, help="Keep images without drivable regions.")
 def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empty: bool) -> None:
     """Normalize an annotation file, dropping unlabeled images."""
+    import tempfile
+
     from . import dataset
     _refuse_collisions({"--labels": labels}, {"--out": out})
-    index = _load_index(labels, default_dims)
-    if keep_empty:
-        filtered, report = index, dataset.DropReport(
-            total_in=len(index), kept=len(index), dropped_ids=(), drop_fraction=0.0
-        )
-    else:
-        filtered, report = dataset.filter_drivable(index)
-    with _writing_outputs(), open(out, "wb") as fh:
-        written = dataset.write_normalized(filtered, fh)
+    # Records wait, encoded, in an unnamed file beside --out until all labels are accepted.
+    with open(labels, "rb") as fh, _writing_outputs(), \
+            tempfile.TemporaryFile(dir=out.parent) as scratch:
+        try:
+            report, warnings = dataset.stream_normalized(
+                fh, scratch, lambda: open(out, "wb"), default_dims, keep_empty)
+        except DriveAreaError as exc:
+            _fail(exc)
     click.echo(
         json.dumps(
             {
@@ -135,8 +136,8 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
                 "dropped_unlabeled": report.dropped_unlabeled,
                 "dropped_all_rejected": report.dropped_all_rejected,
                 "dropped_ids": list(report.dropped_ids),
-                "parse_warnings": index.parse_warnings,
-                "records_written": written,
+                "parse_warnings": warnings,
+                "records_written": report.kept,
             },
             separators=(",", ":"),
         ),
@@ -155,11 +156,13 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
     import tempfile
 
     from . import dataset, geometry
-    index = _load_index(labels, default_dims)
-    owners: dict[str, str] = {}  # file name -> the image id written there
     # Files go to a scratch directory on --out's file system and move into --out
     # only once all are written, so a refusal or a failed write leaves --out as it was.
-    base = next(p for p in (out, *out.parents) if p.is_dir())
+    if not (base := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+        _fail(IoFailure(f"cannot write output: [Errno {errno.ENOTDIR}] "
+                        f"{os.strerror(errno.ENOTDIR)}: {str(out)!r}"))
+    index = _load_index(labels, default_dims)
+    owners: dict[str, str] = {}  # file name -> the image id written there
     with _writing_outputs(), tempfile.TemporaryDirectory(prefix=".rasterize-", dir=base) as tmp:
         for record in index.records:
             for class_id, class_name in sorted(dataset.CLASS_NAMES.items()):

@@ -20,7 +20,7 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterator, Mapping
+from typing import IO, Any, Callable, ContextManager, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "parse_labels",
     "filter_drivable",
     "write_normalized",
+    "stream_normalized",
     "DEFAULT_DIMS",
 ]
 
@@ -183,6 +184,13 @@ class ImageRecord:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
+def _refuse_repeats(ordered_ids: list[str]) -> None:
+    """Refuse the first image id, in sorted order, that repeats the one before it."""
+    for previous, image_id in zip(ordered_ids, ordered_ids[1:]):
+        if image_id == previous:
+            raise SchemaViolation(f"duplicate image_id {image_id!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DatasetIndex:
     """An ordered collection of image records.
@@ -199,11 +207,7 @@ class DatasetIndex:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.records, key=lambda r: r.image_id))
         object.__setattr__(self, "records", ordered)
-        seen: set[str] = set()
-        for rec in ordered:
-            if rec.image_id in seen:
-                raise SchemaViolation(f"duplicate image_id {rec.image_id!r}")
-            seen.add(rec.image_id)
+        _refuse_repeats([r.image_id for r in ordered])
 
     def __iter__(self) -> Iterator[ImageRecord]:
         return iter(self.records)
@@ -373,6 +377,27 @@ def _parse_normalized_record(i: int, rec: Any, _dims: object) -> tuple[ImageReco
     return record, 0, False
 
 
+def _parsed_entries(raw: bytes | IO[bytes], default_dims: tuple[int, int]) -> Iterator[Any]:
+    """Yield None for each root, which replaces all yielded before it, and then
+    (record, warning_count, was_degenerate) for each entry, in file order."""
+    parse, fail = None, None
+    for i, value in _read_json(raw):
+        if i is None:
+            parse = _parse_bdd_entry if value == [] else (
+                _parse_normalized_record if value == {"records": []} else None)
+            fail = None
+            yield None
+        elif not fail:  # after a SchemaViolation, read on: invalid JSON is reported first
+            try:
+                yield parse(i, value, default_dims)
+            except SchemaViolation as exc:
+                fail = exc
+    if fail or not parse:
+        raise fail or SchemaViolation(
+            "annotation file must be a JSON array (BDD) or an object with a 'records' array"
+        )
+
+
 def parse_labels(
     raw: bytes | IO[bytes],
     default_dims: tuple[int, int] = DEFAULT_DIMS,
@@ -390,54 +415,53 @@ def parse_labels(
         MalformedInput: the bytes are not valid JSON, even after a schema error.
         SchemaViolation: the JSON does not match either supported schema.
     """
-    parse, fail, records, warnings, degenerate = None, None, [], 0, []
-    for i, value in _read_json(raw):
-        if i is None:  # a root, which replaces all read before it
-            parse = _parse_bdd_entry if value == [] else (
-                _parse_normalized_record if value == {"records": []} else None)
-            fail, records, warnings, degenerate = None, [], 0, []
-        elif not fail:  # after a SchemaViolation, read on: invalid JSON is reported first
-            try:
-                record, w, was_degenerate = parse(i, value, default_dims)
-            except SchemaViolation as exc:
-                fail = exc
-                continue
-            warnings += w
-            if was_degenerate:
-                degenerate.append(record.image_id)
-            records.append(record)
-    if fail or not parse:
-        raise fail or SchemaViolation(
-            "annotation file must be a JSON array (BDD) or an object with a 'records' array"
-        )
-    return DatasetIndex(
-        records=tuple(records),
-        parse_warnings=warnings,
-        degenerate_ids=tuple(sorted(degenerate)),
-    )
+    records, warnings, degenerate = [], 0, []
+    for entry in _parsed_entries(raw, default_dims):
+        if entry is None:
+            records, warnings, degenerate = [], 0, []
+            continue
+        record, w, was_degenerate = entry
+        warnings += w
+        if was_degenerate:
+            degenerate.append(record.image_id)
+        records.append(record)
+    return DatasetIndex(tuple(records), warnings, tuple(sorted(degenerate)))
+
+
+def _drop_report(kept: int, dropped: tuple[str, ...], n_rejected: int) -> DropReport:
+    total = kept + len(dropped)
+    return DropReport(total, kept, dropped, len(dropped) / total if total else 0.0,
+                      len(dropped) - n_rejected, n_rejected)
 
 
 def filter_drivable(index: DatasetIndex) -> tuple[DatasetIndex, DropReport]:
     """Keep only records with at least one drivable polygon."""
     kept = tuple(r for r in index.records if r.labels)
     dropped = tuple(r.image_id for r in index.records if not r.labels)
-    total = len(index.records)
     degenerate = set(index.degenerate_ids)
-    n_rejected = sum(1 for i in dropped if i in degenerate)
-    report = DropReport(
-        total_in=total,
-        kept=len(kept),
-        dropped_ids=dropped,
-        drop_fraction=(len(dropped) / total) if total else 0.0,
-        dropped_unlabeled=len(dropped) - n_rejected,
-        dropped_all_rejected=n_rejected,
-    )
-    filtered = DatasetIndex(
-        records=kept,
-        parse_warnings=index.parse_warnings,
-        degenerate_ids=index.degenerate_ids,
-    )
-    return filtered, report
+    report = _drop_report(len(kept), dropped, sum(1 for i in dropped if i in degenerate))
+    return DatasetIndex(kept, index.parse_warnings, index.degenerate_ids), report
+
+
+def _record_bytes(r: ImageRecord) -> bytes:
+    """One record of the normalized format: minified UTF-8 JSON, keys in a fixed order."""
+    c = r.conditions
+    return _ENCODER.encode({
+        "image_id": r.image_id, "width": r.width, "height": r.height,
+        "weather": c.weather, "scene": c.scene, "timeofday": c.timeofday,
+        "polygons": [{"class_id": p.class_id, "vertices": p.vertices.tolist()} for p in r.labels],
+    }).encode("utf-8")
+
+
+def _write_records(chunks: Iterable[bytes], sink: IO[bytes]) -> None:
+    """Write encoded records, a record at a time, as one normalized file."""
+    try:
+        sink.write(b'{"records":[')
+        for i, chunk in enumerate(chunks):
+            sink.write((b"," if i else b"") + chunk)
+        sink.write(b"]}")
+    except OSError as exc:
+        raise IoFailure(f"failed to write normalized annotations: {exc}") from exc
 
 
 def write_normalized(index: DatasetIndex, sink: IO[bytes]) -> int:
@@ -446,21 +470,43 @@ def write_normalized(index: DatasetIndex, sink: IO[bytes]) -> int:
     The output is minified UTF-8 JSON with record keys in a fixed order,
     written a record at a time, and parses back via :func:`parse_labels`.
     """
-    try:
-        sink.write(b'{"records":[')
-        for i, r in enumerate(index.records):
-            record = {
-                "image_id": r.image_id,
-                "width": r.width,
-                "height": r.height,
-                "weather": r.conditions.weather,
-                "scene": r.conditions.scene,
-                "timeofday": r.conditions.timeofday,
-                "polygons": [{"class_id": p.class_id, "vertices": p.vertices.tolist()}
-                             for p in r.labels],
-            }
-            sink.write((b"," if i else b"") + _ENCODER.encode(record).encode("utf-8"))
-        sink.write(b"]}")
-    except OSError as exc:
-        raise IoFailure(f"failed to write normalized annotations: {exc}") from exc
+    _write_records(map(_record_bytes, index.records), sink)
     return len(index.records)
+
+
+def stream_normalized(raw: bytes | IO[bytes], scratch: IO[bytes],
+                      open_sink: Callable[[], ContextManager[IO[bytes]]],
+                      default_dims: tuple[int, int] = DEFAULT_DIMS,
+                      keep_empty: bool = False) -> tuple[DropReport, int]:
+    """Write what ``write_normalized(filter_drivable(parse_labels(raw)))`` writes, or
+    unfiltered with ``keep_empty``, holding no record: each is encoded into ``scratch`` as
+    it is parsed, and only its id, offset and size are kept. Once the whole file is accepted,
+    the records are copied into ``open_sink()`` in image-id order. Returns the drop report
+    and the parse warnings; raises what those functions raise, in the same order."""
+    keys, dropped, warnings, n_rejected = [], [], 0, 0
+    for entry in _parsed_entries(raw, default_dims):
+        if entry is None:
+            keys, dropped, warnings, n_rejected = [], [], 0, 0
+            scratch.seek(0)  # bytes beyond what is written again are never read
+            continue
+        record, w, was_degenerate = entry
+        warnings += w
+        if record.labels or keep_empty:
+            data = _record_bytes(record)
+            keys.append((record.image_id, scratch.tell(), len(data)))
+            scratch.write(data)
+        else:
+            dropped.append(record.image_id)
+            n_rejected += was_degenerate
+    dropped.sort()
+    keys.sort()
+    _refuse_repeats(sorted([key[0] for key in keys] + dropped))
+
+    def copied():
+        for _, offset, size in keys:
+            scratch.seek(offset)
+            yield scratch.read(size)
+
+    with open_sink() as sink:
+        _write_records(copied(), sink)
+    return _drop_report(len(keys), tuple(dropped), n_rejected), warnings

@@ -2,7 +2,10 @@ import errno
 import hashlib
 import json
 import os
+import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from drivearea.geometry import Box, RleMask, mask_to_bbox, rasterize_polygon, rl
 from drivearea.metrics import Detection, MatchConfig, read_predictions
 from drivearea.synth import SynthParams, generate_suite, oracle_map
 
+import test_dataset
 from conftest import RECT, bdd_entry, drivable_label
 from test_geometry import read_pgm
 
@@ -32,6 +36,15 @@ def unwritable(tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
     return blocker
+
+
+def traced_peak(run):
+    """What ``run()`` returns, and the peak of memory that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tree(root):
@@ -169,6 +182,56 @@ class TestPreprocess:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "06993d2f5f96bdca6943e46792d83f721eb88a866f397aceeb74bdd4c586e34c")
 
+    def test_peak_memory_follows_the_frame_count(self, runner, tmp_path):
+        raw = test_dataset.TestStreamingReader._raw_file(tmp_path / "raw.json", 4000)
+        out = tmp_path / "norm.json"
+        # what preprocess keeps of each of the 4000 records: id, scratch offset and size
+        _, held = traced_peak(lambda: [(f"f{i:05d}.jpg", 900 * i, 900) for i in range(4000)])
+        result, peak = traced_peak(lambda: invoke(
+            runner, ["preprocess", "--labels", str(raw), "--out", str(out)]))
+        assert result.exit_code == 0
+        assert json.loads(result.stderr)["records_written"] == 4000
+        # 0.5 MiB above the list here; holding the parsed index of these frames, 3.9 MiB.
+        assert peak < held + 2**20
+
+    @pytest.mark.parametrize("labels, error", [
+        (None, None),
+        ("[{broken", "error: invalid JSON at line 1, column 3: Expecting property name "
+                     "enclosed in double quotes\n"),
+        ('[{"name": "a"}, {"labels": []}, {"name": ]', "error: invalid JSON at line 1, "
+                                                      "column 42: Expecting value\n"),
+        ('[{"name": "a"}, {"labels": []}]', "error: annotation entry 1: missing required "
+                                            "field 'name'\n"),
+        ('[{"name": "b"}, {"name": "a"}, {"name": "b"}]', "error: duplicate image_id 'b'\n"),
+    ], ids=["success", "malformed", "schema-then-malformed", "schema", "duplicate"])
+    def test_out_directory_holds_only_what_was_written(self, runner, tmp_path, labels, error):
+        src = tmp_path / "labels.json"
+        src.write_text(labels or json.dumps([bdd_entry("a", [drivable_label("direct", RECT)])]))
+        out = tmp_path / "out" / "norm.json"
+        out.parent.mkdir()
+        (out.parent / ".keep").write_bytes(b"kept")
+        result = runner.invoke(main, ["preprocess", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == (2 if error else 0)
+        assert result.stderr == error if error else json.loads(result.stderr)["kept"] == 1
+        assert sorted(os.listdir(out.parent)) == [".keep"] + ["norm.json"] * (not error)
+        assert (out.parent / ".keep").read_bytes() == b"kept"
+
+    def test_unwritable_out_directory_reported_before_malformed_labels(self, runner, tmp_path):
+        # The scratch file beside --out opens before the labels are read.
+        src = tmp_path / "bad.json"
+        src.write_text("{broken")
+        out = tmp_path / "out" / "norm.json"
+        out.parent.mkdir(mode=0o500)
+        denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(out.parent / "tmp"))
+        # root writes into a read-only directory, so there the refusal is simulated
+        with mock.patch("tempfile.TemporaryFile", side_effect=denied) if os.geteuid() == 0 \
+                else nullcontext():
+            result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot write output: [Errno {errno.EACCES}] "
+                                        f"{os.strerror(errno.EACCES)}: '{out.parent}")
+        assert os.listdir(out.parent) == []
+
 
 # 131 bytes: a thin triangle across a frame 2**31 - 1 rows high, about 2**32
 # (edge, row) crossings, which the rasterizer refuses before it allocates any.
@@ -277,6 +340,18 @@ class TestRasterize:
                                  "--out", str(unwritable(tmp_path) / "masks")])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: cannot write output")
+        assert sorted(tree(tmp_path)) == ["labels.json", "not-a-dir"]
+
+    @pytest.mark.parametrize("below", ["masks", "sub/masks"])
+    def test_out_below_a_file_exits_2_before_reading(self, runner, tmp_path, three_image_bdd, below):
+        src = self._write_labels(tmp_path, three_image_bdd)
+        out = unwritable(tmp_path) / below
+        with mock.patch("drivearea.dataset.parse_labels", side_effect=AssertionError), \
+                mock.patch("drivearea.geometry.rasterize_polygon", side_effect=AssertionError):
+            result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot write output: [Errno {errno.ENOTDIR}] "
+                                 f"{os.strerror(errno.ENOTDIR)}: '{out}'\n")
         assert sorted(tree(tmp_path)) == ["labels.json", "not-a-dir"]
 
     # Each refusal, after image "a" has been rasterized: (image ids or records, format, stderr).

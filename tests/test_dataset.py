@@ -3,6 +3,7 @@ import io
 import json
 import pickle
 import tracemalloc
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from drivearea.dataset import (
     DIRECT,
     ConditionKey,
     DatasetIndex,
+    DropReport,
     ImageRecord,
     PolygonLabel,
     SCENE_TAGS,
@@ -25,6 +27,7 @@ from drivearea.dataset import (
     filter_drivable,
     normalize_tag,
     parse_labels,
+    stream_normalized,
     write_normalized,
 )
 from drivearea.errors import DegeneratePolygon, IoFailure, MalformedInput, SchemaViolation
@@ -926,3 +929,66 @@ class TestStreamingReader:
         # The 4000-frame file is 2 MiB. Decoded whole it peaks 24 MiB above the
         # index; a record at a time, 0.2 MiB from 64 KiB reads and 3 MiB from 1 MiB.
         assert above < 2**20
+
+
+@st.composite
+def reordered_documents(draw):
+    """A raw or normalized document with its entries shuffled and some of them repeated."""
+    doc = draw(st.one_of(raw_documents(), normalized_documents()))
+    root = json.loads(doc)
+    entries = root.get("records") if isinstance(root, dict) else root
+    if not isinstance(entries, list) or not entries:
+        return doc
+    entries += draw(st.lists(st.sampled_from(entries), max_size=2))
+    entries[:] = draw(st.permutations(entries))
+    return json.dumps(root).encode()
+
+
+class TestStreamNormalized:
+    """stream_normalized writes what write_normalized writes of the filtered index (or of the
+    whole index, with keep_empty), reports the same, and refuses the same files alike."""
+
+    @staticmethod
+    def _from_index(doc, keep_empty):
+        index = parse_labels(doc)
+        kept, report = (index, DropReport(len(index), len(index), (), 0.0)) if keep_empty \
+            else filter_drivable(index)
+        buf = io.BytesIO()
+        write_normalized(kept, buf)
+        return buf.getvalue(), report, index.parse_warnings
+
+    @staticmethod
+    def _streamed(doc, keep_empty):
+        buf, opened = io.BytesIO(), []
+        scratch = io.BytesIO(b"stale bytes, never read")
+        report, warnings = stream_normalized(
+            doc, scratch, lambda: opened.append(1) or nullcontext(buf), keep_empty=keep_empty)
+        assert opened == [1]
+        return buf.getvalue(), report, warnings
+
+    @given(st.one_of(raw_documents(), normalized_documents(), reordered_documents()),
+           st.booleans(), st.sampled_from([1, 7, 64, 1 << 16]))
+    @example(json.dumps([bdd_entry("b"), bdd_entry("a", [drivable_label("direct", RECT)]),
+                         bdd_entry("b", [drivable_label("direct", RECT)])]).encode(), False, 7)
+    @example(b'{"records": [{"image_id": "a", "width": 4, "height": 4}, '
+             b'{"image_id": "b", "width": 4, "height": 4}], "meta": 1}', True, 7)
+    @example(b'[{"name": "a", "labels": 3}, {"name": ]', False, 64)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_writing_the_filtered_index(self, doc, keep_empty, read_size):
+        with mock.patch.object(dataset, "_READ_SIZE", read_size):
+            expected = _outcome(lambda: self._from_index(doc, keep_empty))
+            got = _outcome(lambda: self._streamed(doc, keep_empty))
+        assert got == expected
+
+    def test_refused_file_opens_no_sink(self):
+        doc = json.dumps([bdd_entry("a", [drivable_label("direct", RECT)]), bdd_entry("a")])
+        sink = mock.Mock(side_effect=AssertionError)
+        with pytest.raises(SchemaViolation, match="^duplicate image_id 'a'$"):
+            stream_normalized(doc.encode(), io.BytesIO(), sink)
+        sink.assert_not_called()
+
+    def test_holds_no_record(self):
+        doc = json.dumps([bdd_entry(f"f{i}", [drivable_label("direct", RECT)]) for i in range(3)])
+        with mock.patch.object(dataset, "DatasetIndex", side_effect=AssertionError):
+            report, _ = stream_normalized(doc.encode(), io.BytesIO(), lambda: nullcontext(io.BytesIO()))
+        assert report.kept == 3
