@@ -20,13 +20,14 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, ContextManager, Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Mapping
 
 from . import _MAX_SIDE
+from ._rules import _integer, _vertex_values
 from .errors import IoFailure, MalformedInput, SchemaViolation
-from .geometry import _integer, _vertex_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DIRECT",
@@ -101,6 +102,19 @@ def _class_id(value: Any) -> int:
     return class_id
 
 
+def _vertex_array(vertices: Any) -> np.ndarray:
+    """geometry._vertex_array, imported on its first call: preprocess loads no numpy or geometry."""
+    global _vertex_array
+    from .geometry import _vertex_array
+    return _vertex_array(vertices)
+
+
+def _polygon_json(class_id: Any, vertices: Any) -> dict:
+    """The normalized-format polygon of what PolygonLabel accepts, checked in its order."""
+    class_id, values = _class_id(class_id), _vertex_values(vertices)
+    return {"class_id": class_id, "vertices": [values[i:i + 2] for i in range(0, len(values), 2)]}
+
+
 def _image_id(value: Any) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"image_id must be a non-empty string, got {value!r}")
@@ -155,7 +169,7 @@ class PolygonLabel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolygonLabel):
             return NotImplemented
-        return self.class_id == other.class_id and np.array_equal(self.vertices, other.vertices)
+        return self.class_id == other.class_id and self.vertices.tolist() == other.vertices.tolist()
 
     def __hash__(self) -> int:
         return hash((self.class_id, (self.vertices + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
@@ -245,7 +259,7 @@ class DropReport:
 
 _READ_SIZE = 1 << 16  # bytes per read of a label file: the window, unless one entry outgrows it
 _DECODER = json.JSONDecoder()
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
 _WS, _COMMA = re.compile(r"[ \t\n\r]*"), re.compile(r"[ \t\n\r]*,")
 # A root array, or a root object of one member, a "records" array: its opening, and its end.
 _OPEN = re.compile(r'[ \t\n\r]*(?:\[|(\{)[ \t\n\r]*"records"[ \t\n\r]*:[ \t\n\r]*\[)')
@@ -305,10 +319,10 @@ def _refusal(where: str, exc: KeyError | TypeError | ValueError) -> SchemaViolat
 
 
 def _parse_bdd_entry(
-    i: int, entry: Any, default_dims: tuple[int, int]
+    i: int, entry: Any, default_dims: tuple[int, int], polygon: Callable[[Any, Any], Any]
 ) -> tuple[ImageRecord, int, bool]:
-    """Returns (record, warning_count, had_rejected_drivable_label). A label
-    without a known ``areaType`` name is skipped like any other category."""
+    """Returns (record, warning_count, had_rejected_drivable_label), with labels built by
+    ``polygon``. A label without a known ``areaType`` name is skipped like any other."""
     if not isinstance(entry, dict):
         raise SchemaViolation(f"annotation entry {i}: expected an object")
     raw_labels = entry.get("labels") or []
@@ -317,7 +331,7 @@ def _parse_bdd_entry(
 
     warnings = 0
     rejected = False
-    labels: list[PolygonLabel] = []
+    labels = []
     for label in raw_labels:
         if not isinstance(label, dict):
             warnings += 1
@@ -336,7 +350,7 @@ def _parse_bdd_entry(
             continue
         for poly in polys:
             try:
-                labels.append(PolygonLabel(class_id, poly["vertices"]))
+                labels.append(polygon(class_id, poly["vertices"]))
             except (KeyError, TypeError, ValueError):
                 warnings += 1  # not an object, or vertices PolygonLabel refuses
                 rejected = True
@@ -355,18 +369,19 @@ def _parse_bdd_entry(
     return record, warnings, rejected and not labels
 
 
-def _parse_normalized_record(i: int, rec: Any, _dims: object) -> tuple[ImageRecord, int, bool]:
+def _parse_normalized_record(i: int, rec: Any, _dims: object,
+                             polygon: Callable[[Any, Any], Any]) -> tuple[ImageRecord, int, bool]:
     if not isinstance(rec, dict):
         raise SchemaViolation(f"record {i}: expected an object")
     polys = rec.get("polygons") or []
     if not isinstance(polys, list):
         raise SchemaViolation(f"record {i}: polygons must be an array")
-    labels: list[PolygonLabel] = []
+    labels = []
     for j, poly in enumerate(polys):
         if not isinstance(poly, dict):
             raise SchemaViolation(f"record {i}, polygon {j}: expected an object")
         try:
-            labels.append(PolygonLabel(poly["class_id"], poly["vertices"]))
+            labels.append(polygon(poly["class_id"], poly["vertices"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise _refusal(f"record {i}, polygon {j}", exc) from exc
     try:
@@ -377,9 +392,10 @@ def _parse_normalized_record(i: int, rec: Any, _dims: object) -> tuple[ImageReco
     return record, 0, False
 
 
-def _parsed_entries(raw: bytes | IO[bytes], default_dims: tuple[int, int]) -> Iterator[Any]:
-    """Yield None for each root, which replaces all yielded before it, and then
-    (record, warning_count, was_degenerate) for each entry, in file order."""
+def _parsed_entries(raw: bytes | IO[bytes], default_dims: tuple[int, int],
+                    polygon: Callable[[Any, Any], Any]) -> Iterator[Any]:
+    """Yield None for each root, which replaces all yielded before it, and then (record,
+    warning_count, was_degenerate) for each entry, in file order; ``polygon`` builds labels."""
     parse, fail = None, None
     for i, value in _read_json(raw):
         if i is None:
@@ -389,7 +405,7 @@ def _parsed_entries(raw: bytes | IO[bytes], default_dims: tuple[int, int]) -> It
             yield None
         elif not fail:  # after a SchemaViolation, read on: invalid JSON is reported first
             try:
-                yield parse(i, value, default_dims)
+                yield parse(i, value, default_dims, polygon)
             except SchemaViolation as exc:
                 fail = exc
     if fail or not parse:
@@ -416,7 +432,7 @@ def parse_labels(
         SchemaViolation: the JSON does not match either supported schema.
     """
     records, warnings, degenerate = [], 0, []
-    for entry in _parsed_entries(raw, default_dims):
+    for entry in _parsed_entries(raw, default_dims, PolygonLabel):
         if entry is None:
             records, warnings, degenerate = [], 0, []
             continue
@@ -443,13 +459,14 @@ def filter_drivable(index: DatasetIndex) -> tuple[DatasetIndex, DropReport]:
     return DatasetIndex(kept, index.parse_warnings, index.degenerate_ids), report
 
 
-def _record_bytes(r: ImageRecord) -> bytes:
-    """One record of the normalized format: minified UTF-8 JSON, keys in a fixed order."""
+def _record_bytes(r: ImageRecord, polygons: list[dict] | tuple[dict, ...]) -> bytes:
+    """One record of the normalized format, with its polygons as _polygon_json gives them:
+    minified UTF-8 JSON, keys in a fixed order."""
     c = r.conditions
     return _ENCODER.encode({
         "image_id": r.image_id, "width": r.width, "height": r.height,
         "weather": c.weather, "scene": c.scene, "timeofday": c.timeofday,
-        "polygons": [{"class_id": p.class_id, "vertices": p.vertices.tolist()} for p in r.labels],
+        "polygons": polygons,
     }).encode("utf-8")
 
 
@@ -470,7 +487,8 @@ def write_normalized(index: DatasetIndex, sink: IO[bytes]) -> int:
     The output is minified UTF-8 JSON with record keys in a fixed order,
     written a record at a time, and parses back via :func:`parse_labels`.
     """
-    _write_records(map(_record_bytes, index.records), sink)
+    _write_records((_record_bytes(r, [{"class_id": p.class_id, "vertices": p.vertices.tolist()}
+                                      for p in r.labels]) for r in index.records), sink)
     return len(index.records)
 
 
@@ -484,7 +502,7 @@ def stream_normalized(raw: bytes | IO[bytes], scratch: IO[bytes],
     the records are copied into ``open_sink()`` in image-id order. Returns the drop report
     and the parse warnings; raises what those functions raise, in the same order."""
     keys, dropped, warnings, n_rejected = [], [], 0, 0
-    for entry in _parsed_entries(raw, default_dims):
+    for entry in _parsed_entries(raw, default_dims, _polygon_json):
         if entry is None:
             keys, dropped, warnings, n_rejected = [], [], 0, 0
             scratch.seek(0)  # bytes beyond what is written again are never read
@@ -492,7 +510,7 @@ def stream_normalized(raw: bytes | IO[bytes], scratch: IO[bytes],
         record, w, was_degenerate = entry
         warnings += w
         if record.labels or keep_empty:
-            data = _record_bytes(record)
+            data = _record_bytes(record, record.labels)
             keys.append((record.image_id, scratch.tell(), len(data)))
             scratch.write(data)
         else:

@@ -11,13 +11,12 @@ Dense ``(height, width)`` bool arrays appear only at the edges:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 
+from ._rules import _integer, _number, _vertex_values
 from .errors import DegeneratePolygon, DimensionMismatch, InvalidRle
 
 __all__ = [
@@ -48,31 +47,6 @@ def _check_dense(width: int, height: int) -> None:
         )
 
 
-def _integer(value: Any) -> int:
-    """``value`` as an int: integral floats pass (40.0 reads as 40); bools,
-    strings and fractions are refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value: Any) -> float:
-    """``value`` as a finite float; bools, strings and other non-numbers are refused."""
-    if type(value) not in (int, float) and (
-        isinstance(value, bool) or not isinstance(value, numbers.Real)
-    ):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
 def _box_values(values: Sequence) -> tuple[float, float, float, float]:
     """The x, y, w, h that Box keeps of four values, each read by _number, with
     w, h >= 0. Exact floats whose sum is finite, so each is, need no reading."""
@@ -85,25 +59,15 @@ def _box_values(values: Sequence) -> tuple[float, float, float, float]:
 
 
 def _vertex_array(vertices: Any) -> np.ndarray:
-    """A read-only (V, 2) float64 copy of ``vertices``, V >= 3. A finite float64 (V, 2) array,
-    or a list or tuple of pairs of finite exact ints and floats, takes one np.array call; any
-    other input is read a coordinate at a time by _number, which raises its errors."""
-    try:  # fsum reads each value as a float: a huge int overflows, inf - inf is a ValueError
-        plain = (type(vertices) in (list, tuple) and {2}.issuperset(map(len, vertices))
-                 and {int, float}.issuperset(map(type, flat := [*chain(*vertices)]))
-                 and math.isfinite(math.fsum(flat)))
-    except (TypeError, OverflowError, ValueError):  # TypeError: a vertex without a length
-        plain = False
+    """A read-only (V, 2) float64 copy of ``vertices``, V >= 3: a finite float64 (V, 2) array
+    is copied whole; any other input is read by _vertex_values, which raises its errors."""
     if (type(vertices) is np.ndarray and vertices.dtype == np.float64
-            and vertices.shape[1:] == (2,) and np.isfinite(vertices).all()):
+            and vertices.shape[1:] == (2,) and len(vertices) >= 3 and np.isfinite(vertices).all()):
         arr = vertices.copy()
-    elif plain:
-        arr = np.array(flat, dtype=np.float64)
-        arr.resize(len(flat) // 2, 2, refcheck=False)  # in place, where reshape keeps a view
     else:
-        arr = np.array([(_number(x), _number(y)) for x, y in vertices], dtype=np.float64)
-    if len(arr) < 3:
-        raise ValueError(f"polygon needs >= 3 vertices, got {len(arr)}")
+        values = _vertex_values(vertices)
+        arr = np.array(values, dtype=np.float64)
+        arr.resize(len(values) // 2, 2, refcheck=False)  # in place, where reshape keeps a view
     arr.setflags(write=False)
     return arr
 

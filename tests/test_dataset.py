@@ -507,8 +507,9 @@ class TestVertexArray:
     def test_polygon_functions_use_label_vertices_as_they_are(self):
         label = PolygonLabel(1, [[0.5, 0], [7, 1.5], [3, 6]])
         want = rasterize_polygon(label, 8, 8), polygon_area(label), polygon_perimeter(label)
-        with mock.patch.object(geometry, "_vertex_array",
-                               side_effect=AssertionError("vertices read again")):
+        again = AssertionError("vertices read again")
+        with mock.patch.object(geometry, "_vertex_array", side_effect=again), \
+                mock.patch.object(geometry, "_vertex_values", side_effect=again):
             got = rasterize_polygon(label, 8, 8), polygon_area(label), polygon_perimeter(label)
         assert got == want
 
@@ -765,7 +766,7 @@ def _whole_document_parse(doc: bytes):
             "annotation file must be a JSON array (BDD) or an object with a 'records' array")
     records, warnings, degenerate = [], 0, []
     for i, entry in enumerate(entries):
-        record, w, was_degenerate = parse(i, entry, dataset.DEFAULT_DIMS)
+        record, w, was_degenerate = parse(i, entry, dataset.DEFAULT_DIMS, PolygonLabel)
         records.append(record)
         warnings += w
         degenerate += [record.image_id] if was_degenerate else []
@@ -979,6 +980,23 @@ class TestStreamNormalized:
             expected = _outcome(lambda: self._from_index(doc, keep_empty))
             got = _outcome(lambda: self._streamed(doc, keep_empty))
         assert got == expected
+
+    @pytest.mark.parametrize("keep_empty", [False, True])
+    @pytest.mark.parametrize("layout", ["raw", "normalized"])
+    @pytest.mark.parametrize("name", list(_VERTICES_JSON))
+    def test_reads_vertices_as_labels_do(self, name, layout, keep_empty):
+        # stream_normalized builds no PolygonLabel: it reads each polygon by its own rule
+        vertices = _VERTICES_JSON[name]
+        if layout == "raw":
+            label = {"category": "drivable area", "attributes": {"areaType": "direct"},
+                     "poly2d": [{"vertices": vertices}]}
+            doc = [bdd_entry("a", [label]), bdd_entry("b", [label, drivable_label("direct", TRI)])]
+        else:
+            doc = {"records": [{"image_id": "a", "width": 8, "height": 8,
+                                "polygons": [{"class_id": 2, "vertices": vertices}]}]}
+        raw = json.dumps(doc).encode()
+        expected = _outcome(lambda: self._from_index(raw, keep_empty))
+        assert _outcome(lambda: self._streamed(raw, keep_empty)) == expected
 
     def test_refused_file_opens_no_sink(self):
         doc = json.dumps([bdd_entry("a", [drivable_label("direct", RECT)]), bdd_entry("a")])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from drivearea import geometry
+from drivearea import _rules, geometry
 from drivearea.errors import DegeneratePolygon, DimensionMismatch, InvalidRle
 from drivearea.geometry import (
     Box,
@@ -522,7 +522,7 @@ class TestPolygonMeasures:
 
     def test_float64_array_read_in_one_step(self):
         verts = np.random.default_rng(0).uniform(0, 720, size=(20_000, 2))
-        with mock.patch.object(geometry, "_number", side_effect=AssertionError("per coordinate")):
+        with mock.patch.object(_rules, "_number", side_effect=AssertionError("per coordinate")):
             measured = polygon_area(verts), polygon_perimeter(verts)
         assert measured == (polygon_area(verts.tolist()), polygon_perimeter(verts.tolist()))
 

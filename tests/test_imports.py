@@ -6,6 +6,7 @@ probe checks that a CLI process runs numpy on one OpenBLAS thread.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from click.testing import CliRunner
 
 import drivearea
 from drivearea.cli import main
+
+from conftest import RECT, bdd_entry, drivable_label
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,16 +76,16 @@ COMMAND = 'from drivearea.cli import main; main(prog_name="drivearea")'
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def probe(body: str, *args: str, report: str = MODULES, **env: str) -> str:
-    """What a fresh interpreter prints of ``report`` after ``body``, run without
-    the BLAS thread variables of this process but with ``env``."""
+def probe(body: str, *args: str, report: str = MODULES, code: int = 0, **env: str) -> str:
+    """What a fresh interpreter prints of ``report`` after ``body``, which must exit with
+    ``code``, run without the BLAS thread variables of this process but with ``env``."""
     child = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     child.update(env, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), child.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", PROBE.format(body=body, report=report), *args],
         env=child, capture_output=True, text=True, timeout=120,
     )
-    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.returncode == code, result.stderr[-2000:]
     return result.stdout.strip().splitlines()[-1]
 
 
@@ -91,8 +94,8 @@ def loaded_modules(body: str, *args: str) -> set[str]:
     return set(probe(body, *args).split())
 
 
-def command_modules(*args: str) -> set[str]:
-    return loaded_modules(COMMAND, *args)
+def command_modules(*args: str, code: int = 0) -> set[str]:
+    return set(probe(COMMAND, *args, code=code).split())
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +130,23 @@ class TestCommandImports:
             assert "drivearea.dataset" in loaded
             assert not loaded & {"drivearea.metrics", "drivearea.proposals", "drivearea.synth"}
 
+    @pytest.mark.parametrize("case", ["raw", "normalized", "keep-empty", "refused"])
+    def test_preprocess_loads_no_numpy(self, suite, tmp_path, case):
+        raw = {"raw": [bdd_entry("a.jpg", [drivable_label("direct", RECT)]), bdd_entry("b.jpg")],
+               "refused": [bdd_entry("\ud800", [drivable_label("direct", RECT)])]}  # exit 2
+        labels, out = tmp_path / "labels.json", tmp_path / "norm.json"
+        if case in raw:
+            labels.write_text(json.dumps(raw[case]))
+        else:
+            labels = suite[1]  # synth writes the normalized format
+        args = ["preprocess", "--labels", str(labels), "--out", str(out)]
+        if case == "keep-empty":
+            args.append("--keep-empty")
+        loaded = command_modules(*args, code=2 if case == "refused" else 0)
+        assert "drivearea.dataset" in loaded
+        assert not loaded & {"numpy", "drivearea.geometry"}
+        assert out.exists() == (case != "refused")
+
     @pytest.mark.parametrize("kind", ["box", "mask"])
     def test_eval_loads_no_proposals(self, suite, kind):
         root, labels, preds = suite
@@ -152,8 +172,7 @@ class TestBlasThreads:
     @pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
     def test_numpy_commands_run_on_one_thread(self, suite):
         root, labels, preds = suite
-        for args in (["preprocess", "--labels", str(labels), "--out", str(root / "t.json")],
-                     ["rasterize", "--labels", str(labels), "--out", str(root / "t-masks")],
+        for args in (["rasterize", "--labels", str(labels), "--out", str(root / "t-masks")],
                      ["eval", "--labels", str(labels), "--predictions", str(preds),
                       "--out", str(root / "t-report.json"), "--iou-kind", "mask"]):
             assert probe(COMMAND, *args, report=THREADS) == "1", args[0]
