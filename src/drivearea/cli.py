@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 internal error, 2 bad input or flags.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -86,16 +85,10 @@ def _parse_floats(_ctx, _param, value: str) -> tuple[float, ...]:
 
 
 @click.group()
-@click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
-def main(verbose: bool) -> None:
+def main() -> None:
     """Drivable-area annotation, geometry, and evaluation tooling."""
     if "numpy" not in sys.modules:  # no command calls BLAS: start no OpenBLAS thread per core
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
 
 
 def _load_index(path: Path, default_dims: tuple[int, int]):
@@ -237,6 +230,9 @@ def cmd_eval(
         out.write_text(metrics.report_to_json(report, stamp=when), encoding="utf-8")
         if csv_out is not None:
             csv_out.write_text(metrics.report_to_csv(report), encoding="utf-8")
+    if report.orphan_detections and not strict_orphans:
+        click.echo(f"warning: dropping {report.orphan_detections} detections "
+                   "for images not in the index", err=True)
     click.echo(f"map={report.map!r} images={report.n_images} gt={report.n_gt}", err=True)
 
 

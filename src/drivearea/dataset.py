@@ -274,7 +274,14 @@ def _read_json(raw: bytes | IO[bytes]) -> Iterator[tuple[int | None, Any]]:
     handed to it whole, to raise its error; one that it reads but the window cannot (an
     object with other members, say) is yielded again from json.loads, from a new root."""
     src = raw if hasattr(raw, "read") else io.BytesIO(raw)
-    src = src if src.seekable() else io.BytesIO(src.read())  # a refused file is read again
+    if not src.seekable():  # a refused file is read again: spool a pipe to an unnamed file
+        import shutil
+        import tempfile
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(src, spool)
+            spool.seek(0)
+            yield from _read_json(spool)
+        return
     start, i, size, eof = src.tell(), 0, _READ_SIZE, False
     with suppress(ValueError):  # bytes that do not decode: json.loads reports them
         data = src.read(max(size, 4))  # json.loads picks the encoding from four bytes

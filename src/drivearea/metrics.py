@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import math
 from array import array
 from dataclasses import dataclass
@@ -50,8 +49,6 @@ __all__ = [
     "read_predictions",
     "write_predictions",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -312,8 +309,8 @@ def evaluate(
 ) -> EvalReport:
     """Match, sweep, and stratify: the full evaluation pipeline.
 
-    Detections whose image_id is not in the index are warned about and
-    dropped, or counted as false positives of their class when
+    Detections whose image_id is not in the index are dropped and counted in
+    ``orphan_detections``, or counted as false positives of their class when
     ``strict_orphans`` is set. Stratified results re-rank detections within
     each condition stratum. ``drivearea eval`` passes the columns it reads
     from a prediction file in place of ``dets``.
@@ -323,8 +320,6 @@ def evaluate(
     row_of = {r.image_id: row for row, r in enumerate(records)}
     row = np.array([row_of.get(name, -1) for name in cols.names], dtype=np.int64)[cols.image]
     orphans = int(np.count_nonzero(row < 0))
-    if orphans and not strict_orphans:
-        log.warning("dropping %d detections for images not in the index", orphans)
 
     ranked = np.argsort(-cols.score, kind="stable")  # the one ranking: ties keep input order
     by_image = ranked[np.argsort(row[ranked], kind="stable")]  # rank order within each image

@@ -60,6 +60,9 @@ _FNV_PRIME = 0x100000001B3
 # Stream tags keeping scene and prediction randomness independent.
 _SCENE_STREAM = 0x5CE17E
 _PRED_STREAM = 0x9BED1C7
+# Above this mean, exp(-lambda) nears the end of the float range (it is 0.0 past about
+# 745), so Knuth's sampler would stop at about 745 draws whatever lambda is.
+_MAX_POISSON = 700
 
 
 def _mix64(x: int) -> int:
@@ -119,9 +122,11 @@ class SplitMix64:
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def poisson(self, lam: float) -> int:
-        """Knuth's product-of-uniforms Poisson sampler (small lambda only)."""
+        """Knuth's product-of-uniforms Poisson sampler, for lambda up to _MAX_POISSON."""
         if not lam >= 0:  # NaN too: it never meets the loop's limit
             raise ValueError("lambda must be >= 0")
+        if lam > _MAX_POISSON:
+            raise ValueError(f"lambda must be <= {_MAX_POISSON}, got {lam}")
         limit = math.exp(-lam)
         k = 0
         p = 1.0
@@ -157,6 +162,8 @@ class SynthParams:
             raise ValueError("drop_rate must be in [0, 1]")
         if not all(0 <= v < math.inf for v in (self.jitter, self.fp_rate, self.score_noise)):
             raise ValueError("jitter, fp_rate and score_noise must be finite and >= 0")
+        if self.fp_rate > _MAX_POISSON:
+            raise ValueError(f"fp_rate must be <= {_MAX_POISSON}, got {self.fp_rate}")
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:

@@ -538,6 +538,14 @@ class TestSynth:
         assert "must be finite and >= 0" in result.stderr
         assert not labels.exists() and not preds.exists()
 
+    def test_fp_rate_above_poisson_limit_exits_2(self, runner, tmp_path):
+        labels, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        result = invoke(runner, ["synth", "--n-images", "2", "--fp-rate", "701",
+                                 "--out-labels", str(labels), "--out-predictions", str(preds)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: fp_rate must be <= 700, got 701.0\n"
+        assert not labels.exists() and not preds.exists()
+
     def test_same_output_twice_exits_2(self, runner, tmp_path):
         out = tmp_path / "both.json"
         result = invoke(runner, ["synth", "--n-images", "1", "--out-labels", str(out),
@@ -609,6 +617,23 @@ class TestEval:
             invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
                             "--out", str(out)])
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("orphans, strict", [(1, False), (1, True), (0, False)])
+    def test_orphan_warning_line(self, runner, tmp_path, orphans, strict):
+        labels, preds = self._synth_files(runner, tmp_path)
+        ghost = {"image_id": "ghost", "class_id": 1, "score": 0.5, "bbox": [0, 0, 4, 4]}
+        with open(preds, "a", encoding="utf-8") as fh:
+            fh.write((json.dumps(ghost) + "\n") * orphans)
+        out = tmp_path / "report.json"
+        result = invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
+                                 "--out", str(out)] + ["--strict-orphans"] * strict)
+        assert result.exit_code == 0
+        report = json.loads(out.read_text())
+        assert report["orphan_detections"] == orphans
+        warning = ["warning: dropping 1 detections for images not in the index"]
+        summary = f"map={report['map']!r} images={report['n_images']} gt={report['n_gt']}"
+        assert result.stderr.splitlines() == warning * (orphans and not strict) + [summary]
+        assert result.stdout == ""
 
     def test_stamp_embeds_timestamp(self, runner, tmp_path):
         labels, preds = self._synth_files(runner, tmp_path)
@@ -834,9 +859,11 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "r.json")])
         assert result.exit_code == 1
 
-    def test_verbose_flag_accepted(self, runner):
+    def test_verbose_flag_is_a_usage_error(self, runner):
         result = invoke(runner, ["-v", "anchors"])
-        assert result.exit_code == 0
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "-v" in result.stderr
+        assert result.stdout == ""
 
 
 class TestAnchors:

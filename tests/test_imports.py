@@ -1,8 +1,9 @@
 """Imports on demand: the package and each CLI command load only what they use.
 
 pytest has already imported every submodule, so the command checks run each
-command in a fresh interpreter and read its ``sys.modules`` at exit. The same
-probe checks that a CLI process runs numpy on one OpenBLAS thread.
+command in a fresh interpreter and read its ``sys.modules`` at exit. No command
+loads ``logging``: the package reports on stderr itself. The same probe checks
+that a CLI process runs numpy on one OpenBLAS thread.
 """
 
 import importlib
@@ -71,7 +72,8 @@ try:
 finally:
     print({report})
 """
-MODULES = '" ".join(m for m in sorted(sys.modules) if m == "numpy" or m.startswith("drivearea"))'
+MODULES = ('" ".join(m for m in sorted(sys.modules) '
+           'if m in ("numpy", "logging") or m.startswith("drivearea"))')
 COMMAND = 'from drivearea.cli import main; main(prog_name="drivearea")'
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -90,12 +92,15 @@ def probe(body: str, *args: str, report: str = MODULES, code: int = 0, **env: st
 
 
 def loaded_modules(body: str, *args: str) -> set[str]:
-    """The numpy and drivearea modules a fresh interpreter holds after ``body``."""
+    """The numpy, logging and drivearea modules a fresh interpreter holds after ``body``."""
     return set(probe(body, *args).split())
 
 
 def command_modules(*args: str, code: int = 0) -> set[str]:
-    return set(probe(COMMAND, *args, code=code).split())
+    """The modules a command loads, which never include ``logging``."""
+    loaded = set(probe(COMMAND, *args, code=code).split())
+    assert "logging" not in loaded, args
+    return loaded
 
 
 @pytest.fixture(scope="module")

@@ -349,12 +349,14 @@ class TestEvaluate:
         ]
         assert evaluate(index, dets, MatchConfig()) == evaluate(index, squared, MatchConfig())
 
-    def test_orphans_dropped_by_default(self):
+    def test_orphans_dropped_by_default(self, capfd, caplog):
         index, dets = _suite_with_conditions()
         orphan = box_det("ghost", 0, 0, 5, 5, 0.99)
         report = evaluate(index, dets + [orphan], MatchConfig())
         assert report.orphan_detections == 1
         assert report.map == 1.0  # dropped orphan cannot hurt
+        assert capfd.readouterr() == ("", "")  # counted in the report, not printed or logged
+        assert caplog.records == []
 
     def test_strict_orphans_counted_as_fp(self):
         index, dets = _suite_with_conditions()

@@ -49,6 +49,17 @@ class TestSplitMix64:
         with pytest.raises(ValueError, match="lambda must be >= 0"):
             SplitMix64(7).poisson(float("nan"))
 
+    @pytest.mark.parametrize("lam", [701, 2000.0, 1e6, float("inf")])
+    def test_poisson_refuses_lambda_past_float_range(self, lam):
+        # exp(-lambda) underflows past about 745, where every draw would stop near 745
+        with pytest.raises(ValueError, match="lambda must be <= 700"):
+            SplitMix64(7).poisson(lam)
+
+    def test_poisson_mean_at_limit(self):
+        rng = SplitMix64(11)
+        draws = [rng.poisson(700) for _ in range(200)]
+        assert abs(np.mean(draws) - 700) < 6  # 3.2 standard errors
+
     def test_poisson_mean_roughly_lambda(self):
         rng = SplitMix64(11)
         draws = [rng.poisson(2.0) for _ in range(2000)]
@@ -108,6 +119,12 @@ class TestSynthParams:
     def test_rates_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             SynthParams(**{field: value})
+
+    @pytest.mark.parametrize("fp_rate", [701, 2000.0])
+    def test_fp_rate_above_poisson_limit(self, fp_rate):
+        with pytest.raises(ValueError, match="fp_rate must be <= 700"):
+            SynthParams(fp_rate=fp_rate)
+        assert SynthParams(fp_rate=700).fp_rate == 700
 
 
 class TestCorruptPredictions:
