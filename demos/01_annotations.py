@@ -49,7 +49,7 @@ raw = json.dumps(
     ]
 ).encode()
 
-index = parse_labels(raw)  # frames default to 1280x720
+index = parse_labels(raw)  # raw BDD frames are read as 1280x720
 print(f"parsed {len(index)} records, {index.parse_warnings} parse warnings")
 for record in index:
     key = record.conditions

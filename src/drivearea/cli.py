@@ -91,11 +91,11 @@ def main() -> None:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
-def _load_index(path: Path, default_dims: tuple[int, int]):
+def _load_index(path: Path):
     from . import dataset
     try:
         with open(path, "rb") as fh:
-            return dataset.parse_labels(fh, default_dims=default_dims)
+            return dataset.parse_labels(fh)
     except DriveAreaError as exc:
         _fail(exc)
 
@@ -103,9 +103,7 @@ def _load_index(path: Path, default_dims: tuple[int, int]):
 @main.command()
 @click.option("--labels", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True)
-@click.option("--default-dims", default="1280x720", callback=_parse_dims, show_default=True)
-@click.option("--keep-empty", is_flag=True, help="Keep images without drivable regions.")
-def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empty: bool) -> None:
+def preprocess(labels: Path, out: Path) -> None:
     """Normalize an annotation file, dropping unlabeled images."""
     import tempfile
 
@@ -115,8 +113,7 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
     with open(labels, "rb") as fh, _writing_outputs(), \
             tempfile.TemporaryFile(dir=out.parent) as scratch:
         try:
-            report, warnings = dataset.stream_normalized(
-                fh, scratch, lambda: open(out, "wb"), default_dims, keep_empty)
+            report, warnings = dataset.stream_normalized(fh, scratch, lambda: open(out, "wb"))
         except DriveAreaError as exc:
             _fail(exc)
     click.echo(
@@ -142,8 +139,7 @@ def preprocess(labels: Path, out: Path, default_dims: tuple[int, int], keep_empt
 @click.option("--labels", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 @click.option("--format", "fmt", type=click.Choice(["rle", "pgm"]), default="rle", show_default=True)
-@click.option("--default-dims", default="1280x720", callback=_parse_dims, show_default=True)
-def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) -> None:
+def rasterize(labels: Path, out: Path, fmt: str) -> None:
     """Rasterize polygons to one mask per (image, class): direct and alternative separately."""
     import errno
     import tempfile
@@ -154,7 +150,7 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
     if not (base := next(p for p in (out, *out.parents) if p.exists())).is_dir():
         _fail(IoFailure(f"cannot write output: [Errno {errno.ENOTDIR}] "
                         f"{os.strerror(errno.ENOTDIR)}: {str(out)!r}"))
-    index = _load_index(labels, default_dims)
+    index = _load_index(labels)
     owners: dict[str, str] = {}  # file name -> the image id written there
     with _writing_outputs(), tempfile.TemporaryDirectory(prefix=".rasterize-", dir=base) as tmp:
         for record in index.records:
@@ -195,9 +191,7 @@ def rasterize(labels: Path, out: Path, fmt: str, default_dims: tuple[int, int]) 
 @click.option("--csv", "csv_out", type=click.Path(dir_okay=False, path_type=Path), default=None, help="Optional flat CSV path.")
 @click.option("--iou-threshold", type=float, default=0.5, callback=_parse_iou_threshold, show_default=True)
 @click.option("--iou-kind", type=click.Choice(["box", "mask"]), default="box", show_default=True)
-@click.option("--default-dims", default="1280x720", callback=_parse_dims, show_default=True)
 @click.option("--strict-orphans", is_flag=True, help="Count detections for unknown images as false positives.")
-@click.option("--stamp", is_flag=True, help="Embed a generation timestamp in the report.")
 def cmd_eval(
     labels: Path,
     predictions: Path,
@@ -205,19 +199,15 @@ def cmd_eval(
     csv_out: Path | None,
     iou_threshold: float,
     iou_kind: str,
-    default_dims: tuple[int, int],
     strict_orphans: bool,
-    stamp: bool,
 ) -> None:
     """Score a predictions file against ground-truth labels."""
-    from datetime import datetime, timezone
-
     from . import dataset, metrics
     _refuse_collisions(
         {"--labels": labels, "--predictions": predictions}, {"--out": out, "--csv": csv_out}
     )
     try:
-        index = _load_index(labels, default_dims)
+        index = _load_index(labels)
         filtered, _ = dataset.filter_drivable(index)
         cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
         with open(predictions, "rb") as fh:  # read by lines, so errors have a line
@@ -225,9 +215,8 @@ def cmd_eval(
         report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
     except DriveAreaError as exc:
         _fail(exc)
-    when = datetime.now(timezone.utc).isoformat() if stamp else None
     with _writing_outputs():
-        out.write_text(metrics.report_to_json(report, stamp=when), encoding="utf-8")
+        out.write_text(metrics.report_to_json(report), encoding="utf-8")
         if csv_out is not None:
             csv_out.write_text(metrics.report_to_csv(report), encoding="utf-8")
     if report.orphan_detections and not strict_orphans:

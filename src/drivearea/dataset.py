@@ -325,11 +325,11 @@ def _refusal(where: str, exc: KeyError | TypeError | ValueError) -> SchemaViolat
     return SchemaViolation(f"{where}: {reason}")
 
 
-def _parse_bdd_entry(
-    i: int, entry: Any, default_dims: tuple[int, int], polygon: Callable[[Any, Any], Any]
-) -> tuple[ImageRecord, int, bool]:
-    """Returns (record, warning_count, had_rejected_drivable_label), with labels built by
-    ``polygon``. A label without a known ``areaType`` name is skipped like any other."""
+def _parse_bdd_entry(i: int, entry: Any,
+                     polygon: Callable[[Any, Any], Any]) -> tuple[ImageRecord, int, bool]:
+    """Returns (record, warning_count, had_rejected_drivable_label): the record at DEFAULT_DIMS,
+    with labels built by ``polygon``. A label without a known ``areaType`` name is skipped
+    like any other."""
     if not isinstance(entry, dict):
         raise SchemaViolation(f"annotation entry {i}: expected an object")
     raw_labels = entry.get("labels") or []
@@ -370,13 +370,13 @@ def _parse_bdd_entry(
 
     try:
         conditions = ConditionKey.from_attributes(entry.get("attributes"))
-        record = ImageRecord(entry["name"], *default_dims, conditions, tuple(labels))
+        record = ImageRecord(entry["name"], *DEFAULT_DIMS, conditions, tuple(labels))
     except (KeyError, TypeError, ValueError) as exc:
         raise _refusal(f"annotation entry {i}", exc) from exc
     return record, warnings, rejected and not labels
 
 
-def _parse_normalized_record(i: int, rec: Any, _dims: object,
+def _parse_normalized_record(i: int, rec: Any,
                              polygon: Callable[[Any, Any], Any]) -> tuple[ImageRecord, int, bool]:
     if not isinstance(rec, dict):
         raise SchemaViolation(f"record {i}: expected an object")
@@ -399,8 +399,7 @@ def _parse_normalized_record(i: int, rec: Any, _dims: object,
     return record, 0, False
 
 
-def _parsed_entries(raw: bytes | IO[bytes], default_dims: tuple[int, int],
-                    polygon: Callable[[Any, Any], Any]) -> Iterator[Any]:
+def _parsed_entries(raw: bytes | IO[bytes], polygon: Callable[[Any, Any], Any]) -> Iterator[Any]:
     """Yield None for each root, which replaces all yielded before it, and then (record,
     warning_count, was_degenerate) for each entry, in file order; ``polygon`` builds labels."""
     parse, fail = None, None
@@ -412,7 +411,7 @@ def _parsed_entries(raw: bytes | IO[bytes], default_dims: tuple[int, int],
             yield None
         elif not fail:  # after a SchemaViolation, read on: invalid JSON is reported first
             try:
-                yield parse(i, value, default_dims, polygon)
+                yield parse(i, value, polygon)
             except SchemaViolation as exc:
                 fail = exc
     if fail or not parse:
@@ -421,16 +420,13 @@ def _parsed_entries(raw: bytes | IO[bytes], default_dims: tuple[int, int],
         )
 
 
-def parse_labels(
-    raw: bytes | IO[bytes],
-    default_dims: tuple[int, int] = DEFAULT_DIMS,
-) -> DatasetIndex:
+def parse_labels(raw: bytes | IO[bytes]) -> DatasetIndex:
     """Parse an annotation file (raw BDD or normalized) into a DatasetIndex.
 
     Non-drivable label categories are skipped silently; drivable labels
     with unusable geometry are rejected and tallied in
-    ``DatasetIndex.parse_warnings``. Image dimensions default to
-    ``default_dims`` when the file does not carry them (raw BDD never does).
+    ``DatasetIndex.parse_warnings``. Raw BDD entries carry no frame size and
+    are read as DEFAULT_DIMS (1280x720); a normalized record carries its own.
     Raw BDD arrays and normalized files as written here are decoded an entry at a time
     from 64 KiB reads; an object with other members than "records" is decoded whole.
 
@@ -439,7 +435,7 @@ def parse_labels(
         SchemaViolation: the JSON does not match either supported schema.
     """
     records, warnings, degenerate = [], 0, []
-    for entry in _parsed_entries(raw, default_dims, PolygonLabel):
+    for entry in _parsed_entries(raw, PolygonLabel):
         if entry is None:
             records, warnings, degenerate = [], 0, []
             continue
@@ -500,23 +496,21 @@ def write_normalized(index: DatasetIndex, sink: IO[bytes]) -> int:
 
 
 def stream_normalized(raw: bytes | IO[bytes], scratch: IO[bytes],
-                      open_sink: Callable[[], ContextManager[IO[bytes]]],
-                      default_dims: tuple[int, int] = DEFAULT_DIMS,
-                      keep_empty: bool = False) -> tuple[DropReport, int]:
-    """Write what ``write_normalized(filter_drivable(parse_labels(raw)))`` writes, or
-    unfiltered with ``keep_empty``, holding no record: each is encoded into ``scratch`` as
-    it is parsed, and only its id, offset and size are kept. Once the whole file is accepted,
-    the records are copied into ``open_sink()`` in image-id order. Returns the drop report
-    and the parse warnings; raises what those functions raise, in the same order."""
+                      open_sink: Callable[[], ContextManager[IO[bytes]]]) -> tuple[DropReport, int]:
+    """Write what ``write_normalized(filter_drivable(parse_labels(raw)))`` writes, holding
+    no record: each kept one is encoded into ``scratch`` as it is parsed, and only its id,
+    offset and size are kept. Once the whole file is accepted, the records are copied into
+    ``open_sink()`` in image-id order. Returns the drop report and the parse warnings;
+    raises what those functions raise, in the same order."""
     keys, dropped, warnings, n_rejected = [], [], 0, 0
-    for entry in _parsed_entries(raw, default_dims, _polygon_json):
+    for entry in _parsed_entries(raw, _polygon_json):
         if entry is None:
             keys, dropped, warnings, n_rejected = [], [], 0, 0
             scratch.seek(0)  # bytes beyond what is written again are never read
             continue
         record, w, was_degenerate = entry
         warnings += w
-        if record.labels or keep_empty:
+        if record.labels:
             data = _record_bytes(record, record.labels)
             keys.append((record.image_id, scratch.tell(), len(data)))
             scratch.write(data)

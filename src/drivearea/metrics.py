@@ -333,16 +333,18 @@ def evaluate(
     classes = sorted(CLASS_NAMES)
     gt_count = np.array([[sum(label.class_id == c for label in r.labels) for c in classes]
                          for r in records]).reshape(-1, len(classes))
-    ranked_row, ranked_class, ranked_tp = row[ranked], cols.class_id[ranked], det_is_tp[ranked]
+    ranked_row, ranked_class = row[ranked], cols.class_id[ranked]
+    ranked_score, ranked_tp = cols.score[ranked], det_is_tp[ranked]
 
     def _sweep(in_stratum: np.ndarray, with_orphans: bool = False) -> StratumResult:
         """Per-class AP over the detections on the rows ``in_stratum`` marks,
         ranked as in the one overall ranking."""
         picked = np.append(in_stratum, with_orphans)[ranked_row]  # row -1 reads the orphan flag
         n_gt = gt_count[in_stratum].sum(axis=0).tolist()
-        curves = {c: np.cumsum(ranked_tp[picked & (ranked_class == c)]) for c in classes}
-        per_class = {c: average_precision(PrCurve(n, tuple(curves[c].tolist())))
-                     for c, n in zip(classes, n_gt)}
+        per_class = {}
+        for c, n in zip(classes, n_gt):
+            sel = picked & (ranked_class == c)
+            per_class[c] = average_precision(precision_recall(ranked_score[sel], ranked_tp[sel], n))
         mean = mean_ap(per_class) if any(n_gt) else None
         return StratumResult(mean, int(np.count_nonzero(in_stratum)), sum(n_gt), per_class)
 
@@ -366,9 +368,9 @@ def _ap_by_name(per_class: Mapping[int, float | None]) -> dict[str, float | None
     return {CLASS_NAMES[c]: per_class[c] for c in sorted(CLASS_NAMES)}
 
 
-def report_to_json(report: EvalReport, stamp: str | None = None) -> str:
-    """Serialize a report to deterministic minified JSON (no timestamps unless given)."""
-    doc: dict = {
+def report_to_json(report: EvalReport) -> str:
+    """Serialize a report to minified JSON, the same bytes on every run (no clock, no host)."""
+    doc = {
         "config": {
             "iou_threshold": report.config.iou_threshold,
             "iou_kind": report.config.iou_kind,
@@ -395,8 +397,6 @@ def report_to_json(report: EvalReport, stamp: str | None = None) -> str:
             if axis in report.strata
         },
     }
-    if stamp is not None:
-        doc["generated_at"] = stamp
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
 
 

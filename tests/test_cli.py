@@ -4,6 +4,7 @@ import json
 import os
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from drivearea.cli import main
-from drivearea.dataset import parse_labels
+from drivearea.dataset import DatasetIndex, parse_labels, write_normalized
 from drivearea.geometry import Box, RleMask, mask_to_bbox, rasterize_polygon, rle_decode
 from drivearea.metrics import Detection, MatchConfig, read_predictions
 from drivearea.synth import SynthParams, generate_suite, oracle_map
@@ -62,20 +63,11 @@ class TestPreprocess:
         assert result.exit_code == 0
         report = json.loads(result.stderr.strip().splitlines()[-1])
         assert report["total_in"] == 3
-        assert report["kept"] == 2  # the lane-marking-only image is dropped
+        assert report["kept"] == 2  # the lane-marking-only image is dropped, and named
+        assert report["dropped_ids"] == ["img-b.jpg"]
         assert report["drop_fraction"] == pytest.approx(1 / 3)
         index = parse_labels(out.read_bytes())
         assert len(index) == 2
-
-    def test_keep_empty(self, runner, tmp_path, three_image_bdd):
-        src = tmp_path / "labels.json"
-        src.write_bytes(three_image_bdd)
-        out = tmp_path / "normalized.json"
-        result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out), "--keep-empty"])
-        assert result.exit_code == 0
-        report = json.loads(result.stderr.strip().splitlines()[-1])
-        assert report["dropped"] == 0
-        assert len(parse_labels(out.read_bytes())) == 3
 
     def test_malformed_input_exits_2_without_output(self, runner, tmp_path):
         src = tmp_path / "bad.json"
@@ -135,28 +127,6 @@ class TestPreprocess:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: record 0")
         assert not out.exists()
-
-    @pytest.mark.parametrize("entries", [[], [bdd_entry("a.jpg")]], ids=["empty", "one-entry"])
-    @pytest.mark.parametrize("dims", ["3000000000x10", "10x2147483648", "0x10", "12by7"])
-    def test_default_dims_beyond_side_limit_is_usage_error(self, runner, tmp_path, entries, dims):
-        src = tmp_path / "labels.json"
-        src.write_text(json.dumps(entries))
-        out = tmp_path / "normalized.json"
-        result = runner.invoke(main, ["preprocess", "--labels", str(src), "--out", str(out),
-                                      "--default-dims", dims])
-        assert result.exit_code == 2
-        assert "Invalid value for '--default-dims'" in result.stderr
-        assert not out.exists()
-
-    def test_default_dims_at_side_limit_accepted(self, runner, tmp_path):
-        src = tmp_path / "labels.json"
-        src.write_text(json.dumps([bdd_entry("a.jpg", labels=[drivable_label("direct", RECT)])]))
-        out = tmp_path / "normalized.json"
-        result = invoke(runner, ["preprocess", "--labels", str(src), "--out", str(out),
-                                 "--default-dims", "2147483647x1"])
-        assert result.exit_code == 0
-        (record,) = parse_labels(out.read_bytes())
-        assert (record.width, record.height) == (2**31 - 1, 1)
 
     def test_output_bytes_pinned(self, runner, tmp_path):
         # Exact ints and floats side by side, -0.0, 1e-7, 1e16, 2**53 + 1 and
@@ -252,11 +222,20 @@ class TestRasterize:
         src.write_bytes(three_image_bdd)
         return src
 
+    @staticmethod
+    def _write_80x60(tmp_path, three_image_bdd):
+        """The three frames at 80x60: the normalized format carries each frame's size."""
+        index = parse_labels(three_image_bdd)
+        src = tmp_path / "labels.json"
+        with open(src, "wb") as fh:
+            write_normalized(
+                DatasetIndex(tuple(replace(r, width=80, height=60) for r in index)), fh)
+        return src
+
     def test_rle_artifacts(self, runner, tmp_path, three_image_bdd):
-        src = self._write_labels(tmp_path, three_image_bdd)
+        src = self._write_80x60(tmp_path, three_image_bdd)
         out = tmp_path / "masks"
-        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out),
-                                 "--default-dims", "80x60"])
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(result.stdout)["written"] == 3  # a: direct+alt, c: direct
         files = sorted(p.name for p in out.iterdir())
@@ -265,14 +244,14 @@ class TestRasterize:
             "img-a.jpg.direct.rle.json",
             "img-c.jpg.direct.rle.json",
         ]
+        assert {json.loads((out / f).read_text())["width"] for f in files} == {80}
 
     def test_pgm_equals_rle(self, runner, tmp_path, three_image_bdd):
-        src = self._write_labels(tmp_path, three_image_bdd)
+        src = self._write_80x60(tmp_path, three_image_bdd)
         out_rle, out_pgm = tmp_path / "rle", tmp_path / "pgm"
-        invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out_rle),
-                        "--default-dims", "80x60"])
+        invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out_rle)])
         invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out_pgm),
-                        "--format", "pgm", "--default-dims", "80x60"])
+                        "--format", "pgm"])
         for rle_file in out_rle.iterdir():
             payload = json.loads(rle_file.read_text())
             mask = rle_decode(RleMask(payload["width"], payload["height"], tuple(payload["runs"])))
@@ -546,6 +525,24 @@ class TestSynth:
         assert result.stderr == "error: fp_rate must be <= 700, got 701.0\n"
         assert not labels.exists() and not preds.exists()
 
+    @pytest.mark.parametrize("n_images", ["0", "1"], ids=["empty", "one-entry"])
+    @pytest.mark.parametrize("dims", ["3000000000x10", "10x2147483648", "0x10", "12by7"])
+    def test_image_size_beyond_side_limit_is_usage_error(self, runner, tmp_path, n_images, dims):
+        labels, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        result = runner.invoke(main, ["synth", "--n-images", n_images, "--image-size", dims,
+                                      "--out-labels", str(labels), "--out-predictions", str(preds)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--image-size'" in result.stderr
+        assert not labels.exists() and not preds.exists()
+
+    def test_image_size_at_side_limit_accepted(self, runner, tmp_path):
+        labels, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        result = invoke(runner, ["synth", "--n-images", "1", "--image-size", "2147483647x8",
+                                 "--out-labels", str(labels), "--out-predictions", str(preds)])
+        assert result.exit_code == 0
+        (record,) = parse_labels(labels.read_bytes())
+        assert (record.width, record.height) == (2**31 - 1, 8)
+
     def test_same_output_twice_exits_2(self, runner, tmp_path):
         out = tmp_path / "both.json"
         result = invoke(runner, ["synth", "--n-images", "1", "--out-labels", str(out),
@@ -617,6 +614,7 @@ class TestEval:
             invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
                             "--out", str(out)])
         assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert "generated_at" not in json.loads(outs[0].read_text())
 
     @pytest.mark.parametrize("orphans, strict", [(1, False), (1, True), (0, False)])
     def test_orphan_warning_line(self, runner, tmp_path, orphans, strict):
@@ -634,13 +632,6 @@ class TestEval:
         summary = f"map={report['map']!r} images={report['n_images']} gt={report['n_gt']}"
         assert result.stderr.splitlines() == warning * (orphans and not strict) + [summary]
         assert result.stdout == ""
-
-    def test_stamp_embeds_timestamp(self, runner, tmp_path):
-        labels, preds = self._synth_files(runner, tmp_path)
-        out = tmp_path / "report.json"
-        invoke(runner, ["eval", "--labels", str(labels), "--predictions", str(preds),
-                        "--out", str(out), "--stamp"])
-        assert "generated_at" in json.loads(out.read_text())
 
     @pytest.mark.parametrize("threshold", ["0", "1.5", "nan"])
     def test_iou_threshold_out_of_range_exits_2(self, runner, tmp_path, threshold):
@@ -864,6 +855,36 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "No such option" in result.stderr and "-v" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("command, option", [
+        ("preprocess", ["--default-dims", "1280x720"]), ("preprocess", ["--keep-empty"]),
+        ("rasterize", ["--default-dims", "1280x720"]), ("eval", ["--default-dims", "1280x720"]),
+        ("eval", ["--stamp"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_option_is_a_usage_error(self, runner, tmp_path, command, option):
+        labels, preds, out = tmp_path / "gt.json", tmp_path / "p.jsonl", tmp_path / "out"
+        invoke(runner, ["synth", "--n-images", "2", "--out-labels", str(labels),
+                        "--out-predictions", str(preds)])
+        args = [command, "--labels", str(labels), "--out", str(out)]
+        args += ["--predictions", str(preds)] * (command == "eval")
+        result = runner.invoke(main, args + option)
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and option[0] in result.stderr
+        assert not out.exists()
+
+
+class TestOptions:
+    # Each pipeline command's whole option set, so that a new setting has to change a test.
+    OPTIONS = {
+        "preprocess": ["--labels", "--out"],
+        "rasterize": ["--format", "--labels", "--out"],
+        "eval": ["--csv", "--iou-kind", "--iou-threshold", "--labels", "--out", "--predictions",
+                 "--strict-orphans"],
+    }
+
+    def test_pipeline_option_sets(self):
+        assert {name: sorted(opt for param in main.commands[name].params for opt in param.opts)
+                for name in self.OPTIONS} == self.OPTIONS
 
 
 class TestAnchors:

@@ -16,7 +16,6 @@ from drivearea.dataset import (
     DIRECT,
     ConditionKey,
     DatasetIndex,
-    DropReport,
     ImageRecord,
     PolygonLabel,
     SCENE_TAGS,
@@ -147,11 +146,10 @@ class TestParseBdd:
         with pytest.raises(SchemaViolation, match="record 0: image dimensions must be in"):
             parse_labels(json.dumps(raw).encode())
 
-    def test_default_dims_applied_and_overridable(self, three_image_bdd):
+    def test_raw_entries_read_at_bdd_dims(self, three_image_bdd):
+        # raw BDD carries no frame size; other sizes go through the normalized format
         index = parse_labels(three_image_bdd)
-        assert (index.records[0].width, index.records[0].height) == (1280, 720)
-        index = parse_labels(three_image_bdd, default_dims=(640, 360))
-        assert (index.records[0].width, index.records[0].height) == (640, 360)
+        assert {(r.width, r.height) for r in index} == {dataset.DEFAULT_DIMS} == {(1280, 720)}
 
     def test_one_label_per_poly2d_entry(self):
         label = {
@@ -766,7 +764,7 @@ def _whole_document_parse(doc: bytes):
             "annotation file must be a JSON array (BDD) or an object with a 'records' array")
     records, warnings, degenerate = [], 0, []
     for i, entry in enumerate(entries):
-        record, w, was_degenerate = parse(i, entry, dataset.DEFAULT_DIMS, PolygonLabel)
+        record, w, was_degenerate = parse(i, entry, PolygonLabel)
         records.append(record)
         warnings += w
         degenerate += [record.image_id] if was_degenerate else []
@@ -964,45 +962,44 @@ def reordered_documents(draw):
 
 
 class TestStreamNormalized:
-    """stream_normalized writes what write_normalized writes of the filtered index (or of the
-    whole index, with keep_empty), reports the same, and refuses the same files alike."""
+    """stream_normalized writes what write_normalized writes of the filtered index, reports
+    the same, and refuses the same files alike."""
 
     @staticmethod
-    def _from_index(doc, keep_empty):
+    def _from_index(doc):
         index = parse_labels(doc)
-        kept, report = (index, DropReport(len(index), len(index), (), 0.0)) if keep_empty \
-            else filter_drivable(index)
+        kept, report = filter_drivable(index)
         buf = io.BytesIO()
         write_normalized(kept, buf)
         return buf.getvalue(), report, index.parse_warnings
 
     @staticmethod
-    def _streamed(doc, keep_empty):
+    def _streamed(doc):
         buf, opened = io.BytesIO(), []
         scratch = io.BytesIO(b"stale bytes, never read")
         report, warnings = stream_normalized(
-            doc, scratch, lambda: opened.append(1) or nullcontext(buf), keep_empty=keep_empty)
+            doc, scratch, lambda: opened.append(1) or nullcontext(buf))
         assert opened == [1]
         return buf.getvalue(), report, warnings
 
     @given(st.one_of(raw_documents(), normalized_documents(), reordered_documents()),
-           st.booleans(), st.sampled_from([1, 7, 64, 1 << 16]))
+           st.sampled_from([1, 7, 64, 1 << 16]))
     @example(json.dumps([bdd_entry("b"), bdd_entry("a", [drivable_label("direct", RECT)]),
-                         bdd_entry("b", [drivable_label("direct", RECT)])]).encode(), False, 7)
+                         bdd_entry("b", [drivable_label("direct", RECT)])]).encode(), 7)
     @example(b'{"records": [{"image_id": "a", "width": 4, "height": 4}, '
-             b'{"image_id": "b", "width": 4, "height": 4}], "meta": 1}', True, 7)
-    @example(b'[{"name": "a", "labels": 3}, {"name": ]', False, 64)
+             b'{"image_id": "b", "width": 4, "height": 4}], "meta": 1}', 7)
+    @example(b'[{"name": "a", "labels": 3}, {"name": ]', 64)
     @settings(max_examples=300, deadline=None)
-    def test_equals_writing_the_filtered_index(self, doc, keep_empty, read_size):
+    def test_equals_writing_the_filtered_index(self, doc, read_size):
         with mock.patch.object(dataset, "_READ_SIZE", read_size):
-            expected = _outcome(lambda: self._from_index(doc, keep_empty))
-            got = _outcome(lambda: self._streamed(doc, keep_empty))
+            expected = _outcome(lambda: self._from_index(doc))
+            got = _outcome(lambda: self._streamed(doc))
         assert got == expected
 
-    @pytest.mark.parametrize("keep_empty", [False, True])
+    @pytest.mark.parametrize("with_empty_frame", [False, True])
     @pytest.mark.parametrize("layout", ["raw", "normalized"])
     @pytest.mark.parametrize("name", list(_VERTICES_JSON))
-    def test_reads_vertices_as_labels_do(self, name, layout, keep_empty):
+    def test_reads_vertices_as_labels_do(self, name, layout, with_empty_frame):
         # stream_normalized builds no PolygonLabel: it reads each polygon by its own rule
         vertices = _VERTICES_JSON[name]
         if layout == "raw":
@@ -1012,9 +1009,13 @@ class TestStreamNormalized:
         else:
             doc = {"records": [{"image_id": "a", "width": 8, "height": 8,
                                 "polygons": [{"class_id": 2, "vertices": vertices}]}]}
+        if with_empty_frame:  # a frame with no polygon at all, dropped by both paths
+            entries = doc if layout == "raw" else doc["records"]
+            entries.append(bdd_entry("c") if layout == "raw" else
+                           {"image_id": "c", "width": 8, "height": 8, "polygons": []})
         raw = json.dumps(doc).encode()
-        expected = _outcome(lambda: self._from_index(raw, keep_empty))
-        assert _outcome(lambda: self._streamed(raw, keep_empty)) == expected
+        expected = _outcome(lambda: self._from_index(raw))
+        assert _outcome(lambda: self._streamed(raw)) == expected
 
     def test_refused_file_opens_no_sink(self):
         doc = json.dumps([bdd_entry("a", [drivable_label("direct", RECT)]), bdd_entry("a")])

@@ -135,7 +135,7 @@ class TestCommandImports:
             assert "drivearea.dataset" in loaded
             assert not loaded & {"drivearea.metrics", "drivearea.proposals", "drivearea.synth"}
 
-    @pytest.mark.parametrize("case", ["raw", "normalized", "keep-empty", "refused"])
+    @pytest.mark.parametrize("case", ["raw", "normalized", "refused"])
     def test_preprocess_loads_no_numpy(self, suite, tmp_path, case):
         raw = {"raw": [bdd_entry("a.jpg", [drivable_label("direct", RECT)]), bdd_entry("b.jpg")],
                "refused": [bdd_entry("\ud800", [drivable_label("direct", RECT)])]}  # exit 2
@@ -144,10 +144,8 @@ class TestCommandImports:
             labels.write_text(json.dumps(raw[case]))
         else:
             labels = suite[1]  # synth writes the normalized format
-        args = ["preprocess", "--labels", str(labels), "--out", str(out)]
-        if case == "keep-empty":
-            args.append("--keep-empty")
-        loaded = command_modules(*args, code=2 if case == "refused" else 0)
+        loaded = command_modules("preprocess", "--labels", str(labels), "--out", str(out),
+                                 code=2 if case == "refused" else 0)
         assert "drivearea.dataset" in loaded
         assert not loaded & {"numpy", "drivearea.geometry"}
         assert out.exists() == (case != "refused")

@@ -420,6 +420,16 @@ class TestEvaluate:
         assert report.per_class_ap[DIRECT] == 0.25  # FP ranks first: recall 1/2 at precision 1/2
         assert report.strata["weather"]["undefined"].per_class_ap[DIRECT] == 0.25
 
+    def test_every_stratum_sweeps_through_precision_recall(self, monkeypatch):
+        index, dets = _suite_with_conditions()
+        calls = []
+        monkeypatch.setattr(metrics, "precision_recall",
+                            lambda *args: calls.append(args) or precision_recall(*args))
+        report = evaluate(index, dets, MatchConfig())
+        n_strata = sum(len(tags) for tags in report.strata.values())
+        assert len(calls) == 2 * (1 + n_strata)  # direct and alternative, overall and per stratum
+        assert all(np.all(np.diff(scores) <= 0) for scores, _, _ in calls)  # already ranked
+
     def test_determinism_byte_identical(self):
         index, dets = _suite_with_conditions()
         a = report_to_json(evaluate(index, dets, MatchConfig()))
@@ -468,12 +478,6 @@ class TestReports:
         assert set(doc["strata"]) == {"weather", "scene", "timeofday"}
         assert doc["config"]["iou_threshold"] == 0.5
         assert "generated_at" not in doc
-
-    def test_json_stamp_opt_in(self):
-        index, dets = _suite_with_conditions()
-        report = evaluate(index, dets, MatchConfig())
-        doc = json.loads(report_to_json(report, stamp="2026-01-01T00:00:00Z"))
-        assert doc["generated_at"] == "2026-01-01T00:00:00Z"
 
     def test_csv_shape(self):
         index, dets = _suite_with_conditions()
