@@ -17,7 +17,7 @@ _HOMES = {
         DropReport ImageRecord PolygonLabel filter_drivable parse_labels write_normalized""",
     "errors": """DegeneratePolygon DimensionMismatch DriveAreaError GeometryMismatch
         InvalidRle IoFailure LengthMismatch MalformedInput NoGroundTruth NonPositiveBox
-        RoiOutsideGrid SchemaViolation""",
+        OutputCollision RoiOutsideGrid SchemaViolation""",
     "geometry": """Box RleMask box_iou mask_iou mask_to_bbox mask_union polygon_area
         polygon_perimeter rasterize_polygon rle_decode rle_encode write_pgm""",
     "metrics": """Detection EvalReport MatchConfig MatchResult PrCurve StratumResult

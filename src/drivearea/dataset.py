@@ -261,18 +261,19 @@ _READ_SIZE = 1 << 16  # bytes per read of a label file: the window, unless one e
 _DECODER = json.JSONDecoder()
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
 _WS, _COMMA = re.compile(r"[ \t\n\r]*"), re.compile(r"[ \t\n\r]*,")
-# A root array, or a root object of one member, a "records" array: its opening, and its end.
+# The two layouts read: a root array, or a root object of one member, a "records" array. Their
+# opening, each prefix of it that a read may end in (padding included), and their end.
 _OPEN = re.compile(r'[ \t\n\r]*(?:\[|(\{)[ \t\n\r]*"records"[ \t\n\r]*:[ \t\n\r]*\[)')
+_OPEN_CUT = re.compile(r'[ \t\n\r]*(\{[ \t\n\r]*("(r(e(c(o(r(d(s("[ \t\n\r]*(:[ \t\n\r]*'
+                       r')?)?)?)?)?)?)?)?)?)?)?')
 _CLOSE = re.compile(r"[ \t\n\r]*\][ \t\n\r]*"), re.compile(r"[ \t\n\r]*\][ \t\n\r]*\}[ \t\n\r]*")
 
 
 def _read_json(raw: bytes | IO[bytes]) -> Iterator[tuple[int | None, Any]]:
-    """Yield (None, root) for the root that json.loads returns. A root array, and a root
-    object whose one member is a "records" array, come with that array empty, [] or
-    {"records": []}, and then (i, element) for each element, decoded one at a time from
-    reads that double while one outgrows the window. A document that json.loads refuses is
-    handed to it whole, to raise its error; one that it reads but the window cannot (an
-    object with other members, say) is yielded again from json.loads, from a new root."""
+    """Yield (None, root) once, the root with its entries array empty ([] for a root array,
+    {"records": []} for an object whose one member is "records"), then (i, element) for each
+    entry, decoded one at a time from reads that double while one outgrows the window. Any other
+    document goes whole to json.loads, only to raise: MalformedInput, or else SchemaViolation."""
     src = raw if hasattr(raw, "read") else io.BytesIO(raw)
     if not src.seekable():  # a refused file is read again: spool a pipe to an unnamed file
         import shutil
@@ -287,8 +288,9 @@ def _read_json(raw: bytes | IO[bytes]) -> Iterator[tuple[int | None, Any]]:
         data = src.read(max(size, 4))  # json.loads picks the encoding from four bytes
         decoder = codecs.getincrementaldecoder(json.detect_encoding(data))("surrogatepass")
         text = decoder.decode(data)
-        while not (opened := _OPEN.match(text)) and len(text) < 64 and (data := src.read(size)):
-            text += decoder.decode(data)  # the whole opening, unless whitespace pads it out
+        while not (opened := _OPEN.match(text)) and _OPEN_CUT.fullmatch(text) \
+                and (data := src.read(size)):
+            text = "".join(text.split()) + decoder.decode(data)  # drop the padding: no rescans
         if opened:
             yield None, {"records": []} if opened[1] else []
             pos, close = opened.end(), _CLOSE[bool(opened[1])]
@@ -304,19 +306,20 @@ def _read_json(raw: bytes | IO[bytes]) -> Iterator[tuple[int | None, Any]]:
                 if sep.re is close:
                     return
             elif eof:
+                if not i and close.fullmatch(text, pos):
+                    return  # the array is empty
                 break
             else:
                 data, size = src.read(size), 2 * size
                 text, pos, eof = text[pos:] + decoder.decode(data, final=not data), 0, not data
     src.seek(start)
     try:
-        doc = json.loads(src.read())
+        json.loads(src.read())
     except (ValueError, RecursionError) as exc:  # also bad bytes, huge integers, deep nesting
         at = f" at line {exc.lineno}, column {exc.colno}" if hasattr(exc, "colno") else ""
         raise MalformedInput(f"invalid JSON{at}: {getattr(exc, 'msg', exc)}") from exc
-    items = doc.get("records") if isinstance(doc, dict) else doc
-    yield None, ([] if items is doc else {"records": []}) if isinstance(items, list) else doc
-    yield from enumerate(items) if isinstance(items, list) else ()
+    raise SchemaViolation("annotation file must be a JSON array (BDD) or an object whose one "
+                          "member is a 'records' array")
 
 
 def _refusal(where: str, exc: KeyError | TypeError | ValueError) -> SchemaViolation:
@@ -400,24 +403,20 @@ def _parse_normalized_record(i: int, rec: Any,
 
 
 def _parsed_entries(raw: bytes | IO[bytes], polygon: Callable[[Any, Any], Any]) -> Iterator[Any]:
-    """Yield None for each root, which replaces all yielded before it, and then (record,
-    warning_count, was_degenerate) for each entry, in file order; ``polygon`` builds labels."""
-    parse, fail = None, None
-    for i, value in _read_json(raw):
-        if i is None:
-            parse = _parse_bdd_entry if value == [] else (
-                _parse_normalized_record if value == {"records": []} else None)
-            fail = None
-            yield None
-        elif not fail:  # after a SchemaViolation, read on: invalid JSON is reported first
+    """Yield (record, warning_count, was_degenerate) for each entry, in file order; ``polygon``
+    builds labels. An entry's SchemaViolation is raised once the file is read to its end, so
+    that what _read_json raises, invalid JSON first of all, is reported in its place."""
+    entries = _read_json(raw)
+    parse = _parse_bdd_entry if next(entries)[1] == [] else _parse_normalized_record
+    fail = None
+    for i, value in entries:
+        if not fail:
             try:
                 yield parse(i, value, polygon)
             except SchemaViolation as exc:
                 fail = exc
-    if fail or not parse:
-        raise fail or SchemaViolation(
-            "annotation file must be a JSON array (BDD) or an object with a 'records' array"
-        )
+    if fail:
+        raise fail
 
 
 def parse_labels(raw: bytes | IO[bytes]) -> DatasetIndex:
@@ -427,19 +426,15 @@ def parse_labels(raw: bytes | IO[bytes]) -> DatasetIndex:
     with unusable geometry are rejected and tallied in
     ``DatasetIndex.parse_warnings``. Raw BDD entries carry no frame size and
     are read as DEFAULT_DIMS (1280x720); a normalized record carries its own.
-    Raw BDD arrays and normalized files as written here are decoded an entry at a time
-    from 64 KiB reads; an object with other members than "records" is decoded whole.
+    The file is read once, an entry at a time from 64 KiB reads. It must be a raw BDD
+    array or a normalized object whose one member is "records"; any other JSON is refused.
 
     Raises:
         MalformedInput: the bytes are not valid JSON, even after a schema error.
-        SchemaViolation: the JSON does not match either supported schema.
+        SchemaViolation: the JSON does not match either supported layout or schema.
     """
     records, warnings, degenerate = [], 0, []
-    for entry in _parsed_entries(raw, PolygonLabel):
-        if entry is None:
-            records, warnings, degenerate = [], 0, []
-            continue
-        record, w, was_degenerate = entry
+    for record, w, was_degenerate in _parsed_entries(raw, PolygonLabel):
         warnings += w
         if was_degenerate:
             degenerate.append(record.image_id)
@@ -503,12 +498,7 @@ def stream_normalized(raw: bytes | IO[bytes], scratch: IO[bytes],
     ``open_sink()`` in image-id order. Returns the drop report and the parse warnings;
     raises what those functions raise, in the same order."""
     keys, dropped, warnings, n_rejected = [], [], 0, 0
-    for entry in _parsed_entries(raw, _polygon_json):
-        if entry is None:
-            keys, dropped, warnings, n_rejected = [], [], 0, 0
-            scratch.seek(0)  # bytes beyond what is written again are never read
-            continue
-        record, w, was_degenerate = entry
+    for record, w, was_degenerate in _parsed_entries(raw, _polygon_json):
         warnings += w
         if record.labels:
             data = _record_bytes(record, record.labels)

@@ -2,8 +2,9 @@
 runs. The traced run (`perfbench/trace.py`) wraps library functions by name,
 so a renamed or deleted function breaks `perfbench/run.py --trace 1`; the
 input generator (`perfbench/gen.py`) builds labels and detections with the
-library's constructors; and the benchmark checks `preprocess` output against
-the generator's own normalization of the raw frames. These tests pin all three."""
+library's constructors, in layouts the label reader streams; and the benchmark
+checks `preprocess` output against the generator's own normalization of the raw
+frames. These tests pin all three."""
 
 import hashlib
 import importlib.util
@@ -12,6 +13,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -78,3 +80,10 @@ def test_generator_builds_inputs(tmp_path, workload):
     report = json.loads(result.stderr.strip().splitlines()[-1])
     counts = ("total_in", "kept", "dropped", "parse_warnings")
     assert {key: report[key] for key in counts} == {key: expect[key] for key in counts}
+
+    # Every label file the benchmark reads streams: none is handed to json.loads whole.
+    from drivearea import dataset
+    with mock.patch.object(dataset.json, "loads", side_effect=AssertionError):
+        for name in ("raw.json", "labels.json", "slice_labels.json"):
+            with open(tmp_path / name, "rb") as fh:
+                assert len(dataset.parse_labels(fh)) > 0, name

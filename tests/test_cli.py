@@ -833,6 +833,39 @@ def test_image_id_without_utf8_form_exits_2(runner, tmp_path, command):
     assert not out.exists()
 
 
+# Normalized objects that json.loads reads but whose one member is not a "records" array
+# as written: refused, not decoded whole.
+OTHER_LAYOUTS = {
+    "member-after": '{"records": [R], "meta": 1}',
+    "member-before": '{"meta": 1, "records": [R]}',
+    "escaped-name": '{"\\u0072ecords": [R]}',
+    "repeated-name": '{"records": [], "records": [R]}',
+}
+
+
+@pytest.mark.parametrize("layout", sorted(OTHER_LAYOUTS))
+@pytest.mark.parametrize("command", ["preprocess", "rasterize", "eval"])
+def test_other_normalized_layout_exits_2(runner, tmp_path, command, layout):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    labels, preds, out = tmp_path / "labels.json", tmp_path / "preds.jsonl", out_dir / "result"
+    record = {"image_id": "a", "width": 8, "height": 8,
+              "polygons": [{"class_id": 1, "vertices": [[0, 0], [8, 0], [8, 8]]}]}
+    labels.write_text(OTHER_LAYOUTS[layout].replace("R", json.dumps(record)))
+    assert json.loads(labels.read_text())["records"] == [record]
+    preds.write_text(json.dumps({"image_id": "a", "class_id": 1, "score": 0.9,
+                                 "bbox": [0, 0, 8, 8]}) + "\n")
+    args = {
+        "preprocess": ["--out", str(out)],
+        "rasterize": ["--out", str(out)],
+        "eval": ["--predictions", str(preds), "--out", str(out), "--csv", str(out_dir / "r.csv")],
+    }[command]
+    result = invoke(runner, [command, "--labels", str(labels), *args])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {test_dataset.LAYOUTS}\n"
+    assert os.listdir(out_dir) == []  # no output, and no scratch file beside it
+
+
 class TestExitCodes:
     def test_internal_error_exits_1(self, runner, tmp_path, monkeypatch):
         labels, preds = tmp_path / "gt.json", tmp_path / "p.jsonl"

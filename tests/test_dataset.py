@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import pickle
+import re
 import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
@@ -752,16 +753,24 @@ def normalized_documents(draw):
     return text.encode(encoding)
 
 
+LAYOUTS = ("annotation file must be a JSON array (BDD) or an object whose one member is a "
+           "'records' array")
+
+
 def _whole_document_parse(doc: bytes):
-    """What parse_labels reports, from json.loads of the whole file."""
-    root = json.loads(doc)
+    """What parse_labels reports, from json.loads of the whole file: a root array, or a root
+    object whose one member is a "records" array, with its name written without escapes."""
+    objects = []  # each object's members, the root's last: json.loads builds it last
+    root = json.loads(doc, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
+    text = doc.decode(json.detect_encoding(doc))
     if isinstance(root, list):
         parse, entries = _parse_bdd_entry, root
-    elif isinstance(root, dict) and isinstance(root.get("records"), list):
+    elif (isinstance(root, dict) and [name for name, _ in objects[-1]] == ["records"]
+          and isinstance(root["records"], list)
+          and re.match(r'[ \t\n\r]*\{[ \t\n\r]*"records"', text)):
         parse, entries = _parse_normalized_record, root["records"]
     else:
-        raise SchemaViolation(
-            "annotation file must be a JSON array (BDD) or an object with a 'records' array")
+        raise SchemaViolation(LAYOUTS)
     records, warnings, degenerate = [], 0, []
     for i, entry in enumerate(entries):
         record, w, was_degenerate = parse(i, entry, PolygonLabel)
@@ -781,7 +790,7 @@ def _result_or_refusal(parse, doc):
 class TestStreamingReader:
     """A raw BDD array and a normalized file's "records" are decoded an entry at a
     time from a window of reads; the result must be that of json.loads over the
-    whole file."""
+    whole file, which refuses any other layout."""
 
     @given(raw_documents(), st.integers(1, 48))
     @settings(max_examples=300, deadline=None)
@@ -795,6 +804,10 @@ class TestStreamingReader:
     @example(b'{"records": 5, "records": [{"image_id": "a", "width": 4, "height": 4}]}', 3)
     @example(b'{"records": [{"image_id": ""}], "records": []}', 1)
     @example(b'{"records": [], "meta": {"records": [7]}}', 1)
+    @example(b'{"meta": {"records": [7]}, "records": []}', 1)
+    @example(b'{"\\u0072ecords": []}', 1)
+    @example(b'{"rec ords": []}', 1)
+    @example(b'{"records": [], "records": []}', 64)
     @settings(max_examples=300, deadline=None)
     def test_normalized_equals_whole_document_parse(self, doc, read_size):
         self._assert_equals_whole_document_parse(doc, read_size)
@@ -834,19 +847,43 @@ class TestStreamingReader:
         # 64, 128, 256, ... bytes: a window that doubles, not 500 steps of 64 bytes
         assert len(doc) > 500 * 64 and len(reads) < 16
 
-    def test_whole_file_decode_resumes_after_entries_already_read(self):
-        # A failure that json.loads does not share, such as a recursion limit
-        # met only on the reader's stack, hands over without repeating entries.
+    def test_window_failure_on_valid_json_yields_no_entry_twice(self):
+        # A failure that json.loads does not share, such as a recursion limit met only
+        # on the reader's stack: what was read stands, and the file is refused.
         class FailsOnB(json.JSONDecoder):
             def raw_decode(self, s, idx=0):
                 if s.startswith('{"name": "b"', idx):
                     raise RecursionError
                 return super().raw_decode(s, idx)
 
-        doc = json.dumps([bdd_entry(name) for name in "abc"]).encode()
+        entries = [bdd_entry(name) for name in "abc"]
+        doc = json.dumps(entries).encode()
+        yielded = []
         with mock.patch.object(dataset, "_DECODER", FailsOnB()):
+            with pytest.raises(SchemaViolation, match=f"^{re.escape(LAYOUTS)}$"):
+                yielded.extend(dataset._read_json(doc))
+            with pytest.raises(SchemaViolation, match=f"^{re.escape(LAYOUTS)}$"):
+                parse_labels(doc)
+        assert yielded == [(None, []), (0, entries[0])]
+
+    @pytest.mark.parametrize("entries", [0, 2])
+    @pytest.mark.parametrize("pad", ["", " \t\r\n" * 50], ids=["unpadded", "padded"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    def test_empty_and_padded_openings_stream(self, normalized, pad, entries):
+        # 1-byte reads cut every opening, and 200 whitespace characters in each of its
+        # gaps take it far past the first read: the window still reads it to the end.
+        if normalized:
+            values = [{"image_id": f"f{k}", "width": 4, "height": 4} for k in range(entries)]
+            head = "{" + pad + '"records"' + pad + ":" + pad + "["
+            tail = "]" + pad + "}"
+        else:
+            values = [bdd_entry(f"f{k}") for k in range(entries)]
+            head, tail = "[", "]"
+        doc = (pad + head + pad + ",".join(map(json.dumps, values)) + pad + tail + pad).encode()
+        with mock.patch.object(dataset, "_READ_SIZE", 1), \
+                mock.patch.object(dataset.json, "loads", side_effect=AssertionError):
             index = parse_labels(doc)
-        assert [r.image_id for r in index] == ["a", "b", "c"]
+        assert [r.image_id for r in index] == [f"f{k}" for k in range(entries)]
 
     @given(st.one_of(raw_documents(), normalized_documents()), st.integers(0, 10**6), st.sampled_from(
         ["", "x", ",", "]", "[", "}", '"', "\\", "1", " ] ", "\n{"]), st.integers(0, 2),

@@ -30,7 +30,7 @@ PUBLIC = {
                 "parse_labels", "write_normalized"},
     "errors": {"DegeneratePolygon", "DimensionMismatch", "DriveAreaError", "GeometryMismatch",
                "InvalidRle", "IoFailure", "LengthMismatch", "MalformedInput", "NoGroundTruth",
-               "NonPositiveBox", "RoiOutsideGrid", "SchemaViolation"},
+               "NonPositiveBox", "OutputCollision", "RoiOutsideGrid", "SchemaViolation"},
     "geometry": {"Box", "RleMask", "box_iou", "mask_iou", "mask_to_bbox", "mask_union",
                  "polygon_area", "polygon_perimeter", "rasterize_polygon", "rle_decode",
                  "rle_encode", "write_pgm"},
@@ -56,6 +56,14 @@ class TestPackage:
             for name in names:
                 assert getattr(drivearea, name) is getattr(home, name), name
         assert drivearea.__version__ == "0.1.0"
+
+    def test_every_error_class_resolves_from_the_package(self):
+        errors = importlib.import_module("drivearea.errors")
+        classes = [value for value in vars(errors).values()
+                   if isinstance(value, type) and issubclass(value, errors.DriveAreaError)]
+        assert errors.OutputCollision in classes
+        for cls in classes:
+            assert getattr(drivearea, cls.__name__) is cls
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="nope"):
