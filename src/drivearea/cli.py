@@ -16,27 +16,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import _MAX_SIDE
 from .errors import DimensionMismatch, DriveAreaError, IoFailure, OutputCollision
-
-
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(2)
-
-
-@contextmanager
-def _writing_outputs():
-    """Report a failed write of an output file as IoFailure, exit 2."""
-    try:
-        yield
-    except OSError as exc:
-        _fail(IoFailure(f"cannot write output: {exc}"))
 
 
 def _file_key(path: Path):
@@ -48,14 +33,22 @@ def _file_key(path: Path):
 
 
 def _refuse_collisions(inputs: dict[str, Path], outputs: dict[str, Path | None]) -> None:
-    """Fail, before anything is read or written, when an output's directory does not
-    exist (IoFailure) or an output is an input file or another output (OutputCollision)."""
+    """Refuse, before anything is read or written, an output whose directory does not
+    exist (IoFailure) or that is an input file or another output (OutputCollision)."""
     seen = {_file_key(path): name for name, path in inputs.items()}
     for name, path in outputs.items():
         if path is not None and not path.parent.is_dir():
-            _fail(IoFailure(f"cannot write output: {name} {path}: {path.parent} is not a directory"))
+            raise IoFailure(f"cannot write output: {name} {path}: {path.parent} is not a directory")
         if path is not None and seen.setdefault(key := _file_key(path), name) != name:
-            _fail(OutputCollision(f"{name} {path} is the same file as {seen[key]}"))
+            raise OutputCollision(f"{name} {path} is the same file as {seen[key]}")
+
+
+def _open_input(path: Path, what: str):
+    """``path`` open to read: a failure to open it is a failed read, as the readers type theirs."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what}: {exc}") from exc
 
 
 def _parse_dims(_ctx, _param, value: str) -> tuple[int, int]:
@@ -84,20 +77,23 @@ def _parse_floats(_ctx, _param, value: str) -> tuple[float, ...]:
         raise click.BadParameter(f"expected comma-separated numbers, got {value!r}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The one place a command fails: a DriveAreaError, or an output's OSError, exits 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DriveAreaError, OSError) as exc:
+            written = "cannot write output: " if isinstance(exc, OSError) else ""
+            click.echo(f"error: {written}{exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Drivable-area annotation, geometry, and evaluation tooling."""
     if "numpy" not in sys.modules:  # no command calls BLAS: start no OpenBLAS thread per core
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
-def _load_index(path: Path):
-    from . import dataset
-    try:
-        with open(path, "rb") as fh:
-            return dataset.parse_labels(fh)
-    except DriveAreaError as exc:
-        _fail(exc)
 
 
 @main.command()
@@ -109,13 +105,12 @@ def preprocess(labels: Path, out: Path) -> None:
 
     from . import dataset
     _refuse_collisions({"--labels": labels}, {"--out": out})
-    # Records wait, encoded, in an unnamed file beside --out until all labels are accepted.
-    with open(labels, "rb") as fh, _writing_outputs(), \
-            tempfile.TemporaryFile(dir=out.parent) as scratch:
-        try:
-            report, warnings = dataset.stream_normalized(fh, scratch, lambda: open(out, "wb"))
-        except DriveAreaError as exc:
-            _fail(exc)
+    # Records wait in an unnamed file until all labels are accepted; --out is replaced once whole.
+    with _open_input(labels, "labels") as fh, tempfile.TemporaryFile(dir=out.parent) as scratch, \
+            tempfile.TemporaryDirectory(prefix=".preprocess-", dir=out.parent) as tmp:
+        whole = Path(tmp, out.name)
+        report, warnings = dataset.stream_normalized(fh, scratch, lambda: open(whole, "wb"))
+        os.replace(whole, out)
     click.echo(
         json.dumps(
             {
@@ -148,11 +143,11 @@ def rasterize(labels: Path, out: Path, fmt: str) -> None:
     # Files go to a scratch directory on --out's file system and move into --out
     # only once all are written, so a refusal or a failed write leaves --out as it was.
     if not (base := next(p for p in (out, *out.parents) if p.exists())).is_dir():
-        _fail(IoFailure(f"cannot write output: [Errno {errno.ENOTDIR}] "
-                        f"{os.strerror(errno.ENOTDIR)}: {str(out)!r}"))
-    index = _load_index(labels)
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+    with _open_input(labels, "labels") as fh:
+        index = dataset.parse_labels(fh)
     owners: dict[str, str] = {}  # file name -> the image id written there
-    with _writing_outputs(), tempfile.TemporaryDirectory(prefix=".rasterize-", dir=base) as tmp:
+    with tempfile.TemporaryDirectory(prefix=".rasterize-", dir=base) as tmp:
         for record in index.records:
             for class_id, class_name in sorted(dataset.CLASS_NAMES.items()):
                 if not (polys := [p for p in record.labels if p.class_id == class_id]):
@@ -160,14 +155,16 @@ def rasterize(labels: Path, out: Path, fmt: str) -> None:
                 # "/" and NUL are the two bytes a POSIX file name cannot hold
                 stem = record.image_id.replace("/", "_").replace("\0", "_") + f".{class_name}"
                 if (name := stem + (".pgm" if fmt == "pgm" else ".rle.json")) in owners:
-                    _fail(OutputCollision(f"image ids {owners[name]!r} and {record.image_id!r} "
-                                          f"both map to output file name {stem!r}"))
+                    raise OutputCollision(f"image ids {owners[name]!r} and {record.image_id!r} "
+                                          f"both map to output file name {stem!r}")
                 owners[name] = record.image_id
                 try:
                     mask = geometry.mask_union(
                         [geometry.rasterize_polygon(p, record.width, record.height) for p in polys])
                     if (out / name).is_dir():  # found now, not by os.replace after earlier moves
                         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                    if (out / name).exists() and _file_key(out / name) == _file_key(labels):
+                        raise OutputCollision(f"--out {out / name} is the same file as --labels")
                     with open(Path(tmp, name), "wb") as fh:
                         if fmt == "pgm":
                             geometry.write_pgm(mask, fh)
@@ -175,7 +172,7 @@ def rasterize(labels: Path, out: Path, fmt: str) -> None:
                             payload = {"width": mask.width, "height": mask.height, "runs": list(mask.runs)}
                             fh.write(json.dumps(payload, separators=(",", ":")).encode("ascii"))
                 except DimensionMismatch as exc:
-                    _fail(DimensionMismatch(f"image {record.image_id!r}: {exc}"))
+                    raise DimensionMismatch(f"image {record.image_id!r}: {exc}") from None
                 except OSError as exc:  # name the file in --out, not its scratch copy
                     raise OSError(exc.errno, exc.strerror, str(out / name)) from None
         out.mkdir(parents=True, exist_ok=True)
@@ -206,19 +203,15 @@ def cmd_eval(
     _refuse_collisions(
         {"--labels": labels, "--predictions": predictions}, {"--out": out, "--csv": csv_out}
     )
-    try:
-        index = _load_index(labels)
-        filtered, _ = dataset.filter_drivable(index)
-        cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
-        with open(predictions, "rb") as fh:  # read by lines, so errors have a line
-            dets = metrics._columns(metrics._rows(fh))
-        report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
-    except DriveAreaError as exc:
-        _fail(exc)
-    with _writing_outputs():
-        out.write_text(metrics.report_to_json(report), encoding="utf-8")
-        if csv_out is not None:
-            csv_out.write_text(metrics.report_to_csv(report), encoding="utf-8")
+    with _open_input(labels, "labels") as fh:
+        filtered, _ = dataset.filter_drivable(dataset.parse_labels(fh))
+    cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
+    with _open_input(predictions, "predictions") as fh:  # read by lines, so errors have a line
+        dets = metrics._columns(metrics._rows(fh))
+    report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
+    out.write_text(metrics.report_to_json(report), encoding="utf-8")
+    if csv_out is not None:
+        csv_out.write_text(metrics.report_to_csv(report), encoding="utf-8")
     if report.orphan_detections and not strict_orphans:
         click.echo(f"warning: dropping {report.orphan_detections} detections "
                    "for images not in the index", err=True)
@@ -268,13 +261,12 @@ def cmd_synth(
             score_noise=score_noise,
         )
         index, dets = synth.generate_suite(params)
-    except (ValueError, DriveAreaError) as exc:
-        _fail(exc)
-    with _writing_outputs():
-        with open(out_labels, "wb") as fh:
-            dataset.write_normalized(index, fh)
-        with open(out_predictions, "w", encoding="utf-8") as fh:
-            metrics.write_predictions(dets, fh)
+    except ValueError as exc:
+        raise DriveAreaError(exc) from exc
+    with open(out_labels, "wb") as fh:
+        dataset.write_normalized(index, fh)
+    with open(out_predictions, "w", encoding="utf-8") as fh:
+        metrics.write_predictions(dets, fh)
     click.echo(f"images={len(index)} detections={len(dets)}", err=True)
 
 
@@ -300,7 +292,7 @@ def anchors(
         )
         boxes = proposals.generate_anchors(cfg, grid)
     except ValueError as exc:
-        _fail(exc)
+        raise DriveAreaError(exc) from exc
     doc = {
         "config": {
             "base_size": base_size,
@@ -356,8 +348,8 @@ def roi_demo(
         pooled = proposals.roi_pool(feat, spec)
         aligned = proposals.roi_align(feat, spec)
         report = proposals.misalignment_report(spec.roi, scale)
-    except (ValueError, DriveAreaError) as exc:
-        _fail(exc)
+    except ValueError as exc:
+        raise DriveAreaError(exc) from exc
     doc = {
         "roi": [x, y, w, h],
         "spatial_scale": scale,

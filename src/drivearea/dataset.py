@@ -314,12 +314,20 @@ def _read_json(raw: bytes | IO[bytes]) -> Iterator[tuple[int | None, Any]]:
                 text, pos, eof = text[pos:] + decoder.decode(data, final=not data), 0, not data
     src.seek(start)
     try:
-        json.loads(src.read())
+        json.loads(src.read(), object_pairs_hook=len)  # builds no object: only the verdict
     except (ValueError, RecursionError) as exc:  # also bad bytes, huge integers, deep nesting
         at = f" at line {exc.lineno}, column {exc.colno}" if hasattr(exc, "colno") else ""
         raise MalformedInput(f"invalid JSON{at}: {getattr(exc, 'msg', exc)}") from exc
     raise SchemaViolation("annotation file must be a JSON array (BDD) or an object whose one "
                           "member is a 'records' array")
+
+
+def _read(what: str, source: Iterable) -> Iterator:
+    """Each item of ``source``; an OSError in reading it is raised as IoFailure, a failed read."""
+    try:
+        yield from source
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what}: {exc}") from exc
 
 
 def _refusal(where: str, exc: KeyError | TypeError | ValueError) -> SchemaViolation:
@@ -406,7 +414,7 @@ def _parsed_entries(raw: bytes | IO[bytes], polygon: Callable[[Any, Any], Any]) 
     """Yield (record, warning_count, was_degenerate) for each entry, in file order; ``polygon``
     builds labels. An entry's SchemaViolation is raised once the file is read to its end, so
     that what _read_json raises, invalid JSON first of all, is reported in its place."""
-    entries = _read_json(raw)
+    entries = _read("labels", _read_json(raw))
     parse = _parse_bdd_entry if next(entries)[1] == [] else _parse_normalized_record
     fail = None
     for i, value in entries:

@@ -26,7 +26,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
-from .dataset import _DECODER, _class_id, _image_id, _refusal
+from .dataset import _DECODER, _class_id, _image_id, _read, _refusal
 from .errors import DimensionMismatch, GeometryMismatch, InvalidRle, MalformedInput
 from .errors import NoGroundTruth, SchemaViolation
 from .geometry import Box, RleMask, _box_iou_matrix, _box_values, _number, mask_iou, mask_to_bbox
@@ -437,7 +437,7 @@ def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
 def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
     """The row of each prediction line, decoded once and checked by the rules
     the constructors use, without building a Detection; a bad line raises its error."""
-    for n, line in enumerate(source, start=1):
+    for n, line in enumerate(_read("predictions", source), start=1):
         try:
             stripped = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
             if not stripped:

@@ -202,6 +202,45 @@ class TestPreprocess:
                                         f"{os.strerror(errno.EACCES)}: '{out.parent}")
         assert os.listdir(out.parent) == []
 
+    @pytest.mark.parametrize("present", [False, True], ids=["absent", "present"])
+    def test_failed_write_leaves_out_as_it_was(self, runner, tmp_path, present):
+        labels, preds = tmp_path / "gt.json", tmp_path / "p.jsonl"
+        invoke(runner, ["synth", "--n-images", "20", "--out-labels", str(labels),
+                        "--out-predictions", str(preds)])
+        out = tmp_path / "out" / "norm.json"
+        out.parent.mkdir()
+        if present:
+            out.write_bytes(b"old!")
+        real_open = open
+
+        class Full:  # a sink whose disk is full after 1 000 bytes
+            def __init__(self, fh):
+                self.fh, self.room = fh, 1000
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:self.room])
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.room -= len(data)
+
+        def full_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return Full(fh) if mode == "wb" else fh
+
+        with mock.patch("builtins.open", full_open):
+            result = invoke(runner, ["preprocess", "--labels", str(labels), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: failed to write normalized annotations: "
+                                 f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert os.listdir(out.parent) == ["norm.json"] * present  # no hidden entry left
+        assert not present or out.read_bytes() == b"old!"
+
 
 # 131 bytes: a thin triangle across a frame 2**31 - 1 rows high, about 2**32
 # (edge, row) crossings, which the rasterizer refuses before it allocates any.
@@ -370,6 +409,23 @@ class TestRasterize:
         assert result.stderr == error.format(out=out)
         assert tree(tmp_path) == before
         assert out.exists() == prefilled
+
+    @pytest.mark.parametrize("spelling", ["same", "symlink", "hardlink"])
+    def test_mask_file_onto_labels_exits_2(self, runner, tmp_path, spelling):
+        out = tmp_path / "masks"
+        out.mkdir()
+        mask = out / "a.direct.rle.json"
+        src = mask if spelling == "same" else tmp_path / "labels.json"
+        src.write_text(self._records("a"))
+        if spelling == "symlink":
+            mask.symlink_to(src)
+        elif spelling == "hardlink":
+            os.link(src, mask)
+        before = tree(tmp_path)
+        result = invoke(runner, ["rasterize", "--labels", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: --out {mask} is the same file as --labels\n"
+        assert tree(tmp_path) == before
 
     def test_directory_at_a_file_name_leaves_out_as_it_was(self, runner, tmp_path):
         src = tmp_path / "labels.json"
@@ -864,6 +920,45 @@ def test_other_normalized_layout_exits_2(runner, tmp_path, command, layout):
     assert result.exit_code == 2
     assert result.stderr == f"error: {test_dataset.LAYOUTS}\n"
     assert os.listdir(out_dir) == []  # no output, and no scratch file beside it
+
+
+UNREADABLE = Path("/proc/self/mem")  # it opens, but a read at offset 0 fails with EIO
+
+
+@pytest.mark.parametrize("fault", ["read", "open"])
+@pytest.mark.parametrize("command, source", [
+    ("preprocess", "--labels"), ("rasterize", "--labels"), ("eval", "--labels"),
+    ("eval", "--predictions"),
+], ids=["preprocess", "rasterize", "eval-labels", "eval-predictions"])
+def test_unreadable_input_exits_2(runner, tmp_path, command, source, fault):
+    if fault == "read" and not UNREADABLE.exists():
+        pytest.skip("needs Linux /proc")
+    inputs = {"--labels": tmp_path / "gt.json", "--predictions": tmp_path / "p.jsonl"}
+    invoke(runner, ["synth", "--n-images", "2", "--out-labels", str(inputs["--labels"]),
+                    "--out-predictions", str(inputs["--predictions"])])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    error = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+    if fault == "read":
+        inputs[source] = UNREADABLE
+    else:
+        real_open, failing = open, str(inputs[source])
+        error += f": {failing!r}"
+
+        def failing_open(file, *args, **kwargs):
+            if str(file) == failing:
+                raise OSError(errno.EIO, os.strerror(errno.EIO), failing)
+            return real_open(file, *args, **kwargs)
+
+    args = [command, "--labels", str(inputs["--labels"]), "--out", str(out_dir / "result")]
+    if command == "eval":
+        args += ["--predictions", str(inputs["--predictions"]), "--csv", str(out_dir / "r.csv")]
+    with mock.patch("builtins.open", failing_open) if fault == "open" else nullcontext():
+        result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: cannot read {source[2:]}: {error}\n"
+    assert result.stdout == ""
+    assert os.listdir(out_dir) == []  # no output, and no scratch entry
 
 
 class TestExitCodes:

@@ -1,8 +1,11 @@
 import copy
+import errno
 import io
 import json
+import os
 import pickle
 import re
+import tempfile
 import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
@@ -983,6 +986,58 @@ class TestStreamingReader:
         # The 4000-frame file is 2 MiB. Decoded whole it peaks 24 MiB above the
         # index; a record at a time, 0.2 MiB from 64 KiB reads and 3 MiB from 1 MiB.
         assert above < 2**20
+
+    def test_refusing_another_layout_builds_no_object(self, tmp_path):
+        raw, norm = self._raw_file(tmp_path / "raw.json", 4000), tmp_path / "norm.json"
+        with open(raw, "rb") as src, open(norm, "wb") as out:
+            write_normalized(parse_labels(src), out)
+        norm.write_bytes(norm.read_bytes()[:-1] + b',"meta":1}')
+        with open(norm, "rb") as fh, tempfile.TemporaryFile() as scratch:
+            tracemalloc.start()
+            try:  # as preprocess reads it: the records go to the scratch file
+                with pytest.raises(SchemaViolation, match=f"^{re.escape(LAYOUTS)}$"):
+                    stream_normalized(fh, scratch, mock.Mock(side_effect=AssertionError))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # json.loads reads the refused file whole only for its verdict. It holds the
+        # bytes and their text, and no object of it: 4.8 MiB for this 2 MiB file, 25 MiB
+        # when it built every record.
+        assert peak < 4 * norm.stat().st_size
+
+
+class _FailingSource(io.BytesIO):
+    """Label bytes whose reads fail with EIO once ``good`` of them have returned; with
+    ``pipe``, a source that cannot seek, which the reader spools first."""
+
+    def __init__(self, data, good, pipe):
+        super().__init__(data)
+        self.good, self.pipe = good, pipe
+
+    def read(self, size=-1):
+        if not self.good:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        self.good -= 1
+        return super().read(size)
+
+    def seekable(self):
+        return not self.pipe
+
+
+class TestReadFailure:
+    """A label source that fails to read is an IoFailure naming the labels, so that
+    no caller takes it for a failed write."""
+
+    @pytest.mark.parametrize("good", [0, 1])
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("reader", ["parse_labels", "stream_normalized"])
+    def test_failed_read_is_io_failure(self, three_image_bdd, reader, pipe, good):
+        source = _FailingSource(three_image_bdd, good, pipe)
+        read = parse_labels if reader == "parse_labels" else lambda src: stream_normalized(
+            src, io.BytesIO(), mock.Mock(side_effect=AssertionError))
+        with mock.patch.object(dataset, "_READ_SIZE", 16), \
+                pytest.raises(IoFailure, match=rf"^cannot read labels: \[Errno {errno.EIO}\] "):
+            read(source)
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import io
 import itertools
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -21,7 +23,7 @@ from drivearea.dataset import (
     PolygonLabel,
 )
 from drivearea.errors import (
-    DriveAreaError, GeometryMismatch, MalformedInput, NoGroundTruth, SchemaViolation,
+    DriveAreaError, GeometryMismatch, IoFailure, MalformedInput, NoGroundTruth, SchemaViolation,
 )
 from drivearea.geometry import Box, RleMask, mask_to_bbox, rasterize_polygon
 from drivearea.metrics import (
@@ -545,6 +547,16 @@ class TestPredictionIo:
         line = b'{"image_id":"a","class_id":2,"score":0.25,"bbox":[0,0,2,2]}'
         (det,) = read_predictions(iter([line]))
         assert det.class_id == ALTERNATIVE
+
+    def test_failed_read_is_io_failure(self):
+        def lines():  # a source that fails after its first line, as a failing disk does
+            yield b'{"image_id":"a","class_id":1,"score":0.5,"bbox":[0,0,1,1]}\n'
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        read = []
+        with pytest.raises(IoFailure, match=rf"^cannot read predictions: \[Errno {errno.EIO}\] "):
+            read.extend(read_predictions(lines()))
+        assert [d.image_id for d in read] == ["a"]
 
 
 _READER_PARAMS = SynthParams(seed=5, n_images=6, image_size=(48, 32), jitter=1.5,
