@@ -3,8 +3,7 @@
 Workflow mirrors the preprocessing-then-evaluation pipeline: ``preprocess``
 normalizes annotation files, ``rasterize`` exports class masks, an external
 model produces a predictions JSONL, and ``eval`` scores it with stratified
-reports. ``synth``, ``anchors`` and ``roi-demo`` exercise the synthetic
-generator and the proposal geometry.
+reports. ``synth`` writes a synthetic suite with a known answer.
 
 Each command imports only the modules it runs, so ``--help`` loads no numpy.
 
@@ -68,13 +67,6 @@ def _parse_iou_threshold(_ctx, _param, value: float) -> float:
         return metrics.MatchConfig(iou_threshold=value).iou_threshold
     except ValueError as exc:
         raise click.BadParameter(str(exc))
-
-
-def _parse_floats(_ctx, _param, value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise click.BadParameter(f"expected comma-separated numbers, got {value!r}")
 
 
 class _Main(click.Group):
@@ -268,99 +260,6 @@ def cmd_synth(
     with open(out_predictions, "w", encoding="utf-8") as fh:
         metrics.write_predictions(dets, fh)
     click.echo(f"images={len(index)} detections={len(dets)}", err=True)
-
-
-@main.command()
-@click.option("--base-size", type=float, default=16.0, show_default=True)
-@click.option("--scales", default="8", callback=_parse_floats, show_default=True,
-              help="Comma-separated anchor scales; single-scale default keeps the demo small.")
-@click.option("--ratios", default="0.5,1,2", callback=_parse_floats, show_default=True)
-@click.option("--stride", type=float, default=16.0, show_default=True)
-@click.option("--grid", default="3x4", callback=_parse_dims, show_default=True, help="Feature cells HxW.")
-def anchors(
-    base_size: float,
-    scales: tuple[float, ...],
-    ratios: tuple[float, ...],
-    stride: float,
-    grid: tuple[int, int],
-) -> None:
-    """Emit the anchor boxes for a feature grid as JSON on stdout."""
-    from . import proposals
-    try:
-        cfg = proposals.AnchorConfig(
-            base_size=base_size, scales=scales, ratios=ratios, feature_stride=stride
-        )
-        boxes = proposals.generate_anchors(cfg, grid)
-    except ValueError as exc:
-        raise DriveAreaError(exc) from exc
-    doc = {
-        "config": {
-            "base_size": base_size,
-            "scales": list(scales),
-            "ratios": list(ratios),
-            "feature_stride": stride,
-            "grid": list(grid),
-        },
-        "count": len(boxes),
-        "anchors": [[b.x, b.y, b.w, b.h] for b in boxes],
-    }
-    click.echo(json.dumps(doc, separators=(",", ":")))
-
-
-@main.command("roi-demo")
-@click.option("--roi", default="7,7,32,32", show_default=True, help="Region x,y,w,h in image coordinates.")
-@click.option("--scale", type=float, default=1 / 16, show_default=True)
-@click.option("--output-size", default="2x2", callback=_parse_dims, show_default=True)
-@click.option("--sampling-points", type=int, default=2, show_default=True)
-@click.option("--grid", default="8x8", callback=_parse_dims, show_default=True, help="Demo feature grid HxW.")
-@click.option("--field", type=click.Choice(["ramp", "constant"]), default="ramp", show_default=True)
-@click.option("--fill-value", type=float, default=1.0, show_default=True, help="Cell value for --field constant.")
-def roi_demo(
-    roi: str,
-    scale: float,
-    output_size: tuple[int, int],
-    sampling_points: int,
-    grid: tuple[int, int],
-    field: str,
-    fill_value: float,
-) -> None:
-    """Pool one roi with RoIPool and RoIAlign on a demo grid; show the misalignment."""
-    import numpy as np
-
-    from . import geometry, proposals
-    try:
-        x, y, w, h = (float(v) for v in roi.split(","))
-    except ValueError:
-        raise click.BadParameter(f"--roi expects x,y,w,h, got {roi!r}")
-    try:
-        grid_h, grid_w = grid
-        if field == "constant":
-            plane = np.full((grid_h, grid_w), fill_value, dtype=np.float64)
-        else:
-            plane = np.arange(grid_h * grid_w, dtype=np.float64).reshape(grid_h, grid_w)
-        feat = proposals.FeatureGrid.from_2d(plane)
-        spec = proposals.RoiSpec(
-            roi=geometry.Box(x, y, w, h),
-            spatial_scale=scale,
-            output_size=(output_size[0], output_size[1]),
-            sampling_points=sampling_points,
-        )
-        pooled = proposals.roi_pool(feat, spec)
-        aligned = proposals.roi_align(feat, spec)
-        report = proposals.misalignment_report(spec.roi, scale)
-    except ValueError as exc:
-        raise DriveAreaError(exc) from exc
-    doc = {
-        "roi": [x, y, w, h],
-        "spatial_scale": scale,
-        "output_size": list(output_size),
-        "sampling_points": sampling_points,
-        "grid": list(grid),
-        "pool": pooled.values[0].tolist(),
-        "align": aligned.values[0].tolist(),
-        "misalignment": report.as_dict(),
-    }
-    click.echo(json.dumps(doc, separators=(",", ":")))
 
 
 if __name__ == "__main__":

@@ -979,9 +979,16 @@ class TestExitCodes:
         assert result.exit_code == 1
 
     def test_verbose_flag_is_a_usage_error(self, runner):
-        result = invoke(runner, ["-v", "anchors"])
+        result = invoke(runner, ["-v", "synth"])
         assert result.exit_code == 2
         assert "No such option" in result.stderr and "-v" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["anchors", "roi-demo"])
+    def test_removed_command_is_a_usage_error(self, runner, command):
+        result = runner.invoke(main, [command])
+        assert result.exit_code == 2
+        assert "No such command" in result.stderr and command in result.stderr
         assert result.stdout == ""
 
     @pytest.mark.parametrize("command, option", [
@@ -1014,38 +1021,8 @@ class TestOptions:
         assert {name: sorted(opt for param in main.commands[name].params for opt in param.opts)
                 for name in self.OPTIONS} == self.OPTIONS
 
-
-class TestAnchors:
-    def test_default_grid_count(self, runner):
-        result = invoke(runner, ["anchors"])
-        doc = json.loads(result.stdout)
-        assert doc["count"] == 36  # 3x4 cells, 3 ratios, 1 scale
-        assert len(doc["anchors"]) == 36
-
-    def test_three_scales(self, runner):
-        result = invoke(runner, ["anchors", "--scales", "8,16,32"])
-        assert json.loads(result.stdout)["count"] == 108
-
-
-class TestRoiDemo:
-    def test_misalignment_default_roi(self, runner):
-        result = invoke(runner, ["roi-demo"])
-        doc = json.loads(result.stdout)
-        assert doc["misalignment"]["pool"]["left"] == 0.4375  # x=7 at scale 1/16
-        assert doc["misalignment"]["align"] == {"left": 0.0, "top": 0.0, "right": 0.0, "bottom": 0.0}
-
-    def test_constant_field_constant_bins(self, runner):
-        result = invoke(runner, ["roi-demo", "--field", "constant", "--fill-value", "2.5",
-                                 "--roi", "5,3,40,30"])
-        doc = json.loads(result.stdout)
-        assert all(v == 2.5 for row in doc["pool"] for v in row)
-        assert all(v == 2.5 for row in doc["align"] for v in row)
-
-    def test_nan_scale_exits_2(self, runner):
-        result = runner.invoke(main, ["roi-demo", "--scale", "nan"])
-        assert result.exit_code == 2
-        assert result.stderr == "error: spatial_scale must be positive, got nan\n"
-
-    def test_outside_roi_exits_2(self, runner):
-        result = runner.invoke(main, ["roi-demo", "--roi", "10000,10000,5,5"])
-        assert result.exit_code == 2
+    def test_command_set_and_synth_option_set(self):
+        assert sorted(main.commands) == ["eval", "preprocess", "rasterize", "synth"]
+        assert sorted(opt for param in main.commands["synth"].params for opt in param.opts) == [
+            "--drop-rate", "--fp-rate", "--image-size", "--jitter", "--lanes", "--n-images",
+            "--out-labels", "--out-predictions", "--score-noise", "--seed"]

@@ -166,9 +166,8 @@ class TestCommandImports:
         assert "drivearea.metrics" in loaded
         assert not loaded & {"drivearea.proposals", "drivearea.synth"}
 
-    @pytest.mark.parametrize("command", ["anchors", "roi-demo"])
-    def test_proposal_commands_load_no_dataset(self, command):
-        loaded = command_modules(command)
+    def test_proposals_import_loads_no_dataset(self):
+        loaded = loaded_modules("import drivearea.proposals")
         assert "drivearea.proposals" in loaded
         assert not loaded & {"drivearea.dataset", "drivearea.metrics", "drivearea.synth"}
 

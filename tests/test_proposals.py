@@ -200,6 +200,13 @@ class TestRoiPool:
         with pytest.raises(RoiOutsideGrid):
             roi_pool(_ramp_grid(), RoiSpec(Box(100, 100, 4, 4), 1.0, (2, 2)))
 
+    def test_constant_grid_at_stride_16(self):
+        # a roi in image coordinates, pooled from a 1/16-scale grid by both methods
+        spec = RoiSpec(Box(5, 3, 40, 30), 1 / 16, (2, 2), sampling_points=2)
+        feat = FeatureGrid.from_2d(np.full((8, 8), 2.5))
+        assert np.all(roi_pool(feat, spec).values == 2.5)
+        assert np.all(roi_align(feat, spec).values == 2.5)
+
     def test_zero_size_roi(self):
         with pytest.raises(ValueError):
             roi_pool(_ramp_grid(), RoiSpec(Box(1, 1, 0, 2), 1.0, (2, 2)))
