@@ -166,8 +166,17 @@ class TestCommandImports:
         assert "drivearea.metrics" in loaded
         assert not loaded & {"drivearea.proposals", "drivearea.synth"}
 
-    def test_proposals_import_loads_no_dataset(self):
-        loaded = loaded_modules("import drivearea.proposals")
+    @pytest.mark.parametrize("body", [
+        "from drivearea.proposals import AnchorConfig, generate_anchors; "
+        "generate_anchors(AnchorConfig(), (3, 4))",
+        "import numpy as np; from drivearea.geometry import Box; "
+        "from drivearea.proposals import FeatureGrid, RoiSpec, roi_align, roi_pool, "
+        "misalignment_report; spec = RoiSpec(Box(7, 7, 32, 32), 1 / 16, (2, 2)); "
+        "feat = FeatureGrid.from_2d(np.ones((8, 8))); roi_pool(feat, spec); "
+        "roi_align(feat, spec); misalignment_report(spec.roi, spec.spatial_scale)",
+    ], ids=["anchors", "roi"])
+    def test_proposals_use_loads_no_dataset(self, body):
+        loaded = loaded_modules(body)
         assert "drivearea.proposals" in loaded
         assert not loaded & {"drivearea.dataset", "drivearea.metrics", "drivearea.synth"}
 
