@@ -97,12 +97,15 @@ def preprocess(labels: Path, out: Path) -> None:
 
     from . import dataset
     _refuse_collisions({"--labels": labels}, {"--out": out})
-    # Records wait in an unnamed file until all labels are accepted; --out is replaced once whole.
-    with _open_input(labels, "labels") as fh, tempfile.TemporaryFile(dir=out.parent) as scratch, \
-            tempfile.TemporaryDirectory(prefix=".preprocess-", dir=out.parent) as tmp:
-        whole = Path(tmp, out.name)
-        report, warnings = dataset.stream_normalized(fh, scratch, lambda: open(whole, "wb"))
-        os.replace(whole, out)
+    # Records wait in an unnamed file until all labels are accepted. A regular --out is then
+    # replaced once whole; any other (a FIFO, a device) is written into, with no scratch beside it.
+    here = out.parent if (replace := out.is_file() or not out.exists()) else None
+    with _open_input(labels, "labels") as fh, tempfile.TemporaryFile(dir=here) as scratch, \
+            tempfile.TemporaryDirectory(prefix=".preprocess-", dir=here) as tmp:
+        sink = Path(tmp, out.name) if replace else out
+        report, warnings = dataset.stream_normalized(fh, scratch, lambda: open(sink, "wb"))
+        if replace:
+            os.replace(sink, out)
     click.echo(
         json.dumps(
             {
@@ -181,15 +184,8 @@ def rasterize(labels: Path, out: Path, fmt: str) -> None:
 @click.option("--iou-threshold", type=float, default=0.5, callback=_parse_iou_threshold, show_default=True)
 @click.option("--iou-kind", type=click.Choice(["box", "mask"]), default="box", show_default=True)
 @click.option("--strict-orphans", is_flag=True, help="Count detections for unknown images as false positives.")
-def cmd_eval(
-    labels: Path,
-    predictions: Path,
-    out: Path,
-    csv_out: Path | None,
-    iou_threshold: float,
-    iou_kind: str,
-    strict_orphans: bool,
-) -> None:
+def cmd_eval(labels: Path, predictions: Path, out: Path, csv_out: Path | None,
+             strict_orphans: bool, **match) -> None:
     """Score a predictions file against ground-truth labels."""
     from . import dataset, metrics
     _refuse_collisions(
@@ -197,7 +193,7 @@ def cmd_eval(
     )
     with _open_input(labels, "labels") as fh:
         filtered, _ = dataset.filter_drivable(dataset.parse_labels(fh))
-    cfg = metrics.MatchConfig(iou_threshold=iou_threshold, iou_kind=iou_kind)
+    cfg = metrics.MatchConfig(**match)
     with _open_input(predictions, "predictions") as fh:  # read by lines, so errors have a line
         dets = metrics._columns(metrics._rows(fh))
     report = metrics.evaluate(filtered, dets, cfg, strict_orphans=strict_orphans)
@@ -221,19 +217,10 @@ def cmd_eval(
 @click.option("--score-noise", type=float, default=0.0, show_default=True)
 @click.option("--out-labels", type=click.Path(dir_okay=False, path_type=Path), required=True)
 @click.option("--out-predictions", type=click.Path(dir_okay=False, path_type=Path), required=True)
-def cmd_synth(
-    seed: int,
-    n_images: int,
-    image_size: tuple[int, int],
-    lanes: str,
-    jitter: float,
-    drop_rate: float,
-    fp_rate: float,
-    score_noise: float,
-    out_labels: Path,
-    out_predictions: Path,
-) -> None:
+def cmd_synth(lanes: str, out_labels: Path, out_predictions: Path, **settings) -> None:
     """Write a synthetic annotation file plus matching corrupted predictions."""
+    import tempfile
+
     from . import dataset, metrics, synth
     _refuse_collisions({}, {"--out-labels": out_labels, "--out-predictions": out_predictions})
     try:
@@ -241,25 +228,23 @@ def cmd_synth(
         lane_range = (int(lo), int(hi or lo))
     except ValueError:
         raise click.BadParameter(f"--lanes expects MIN:MAX, got {lanes!r}")
-    try:
-        params = synth.SynthParams(
-            seed=seed,
-            n_images=n_images,
-            image_size=image_size,
-            lanes_per_image=lane_range,
-            jitter=jitter,
-            drop_rate=drop_rate,
-            fp_rate=fp_rate,
-            score_noise=score_noise,
-        )
-        index, dets = synth.generate_suite(params)
-    except ValueError as exc:
-        raise DriveAreaError(exc) from exc
-    with open(out_labels, "wb") as fh:
-        dataset.write_normalized(index, fh)
-    with open(out_predictions, "w", encoding="utf-8") as fh:
-        metrics.write_predictions(dets, fh)
-    click.echo(f"images={len(index)} detections={len(dets)}", err=True)
+    # A frame's predictions are drawn and written to an unnamed file beside --out-predictions;
+    # the outputs are written only once every frame is drawn, so a refusal writes neither.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", dir=out_predictions.parent) as scratch:
+        try:
+            params = synth.SynthParams(lanes_per_image=lane_range, **settings)
+            index = dataset.DatasetIndex(
+                tuple(synth.generate_scene(params, i) for i in range(params.n_images)))
+            n_dets = sum(metrics.write_predictions(synth.corrupt_predictions(r, params), scratch)
+                         for r in index)
+        except ValueError as exc:
+            raise DriveAreaError(exc) from exc
+        with open(out_labels, "wb") as fh:
+            dataset.write_normalized(index, fh)
+        scratch.seek(0)
+        with open(out_predictions, "w", encoding="utf-8") as fh:
+            fh.writelines(scratch)
+    click.echo(f"images={len(index)} detections={n_dets}", err=True)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 import errno
 import hashlib
+import io
 import json
 import os
+import stat
+import threading
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
@@ -15,8 +18,9 @@ from click.testing import CliRunner
 from drivearea.cli import main
 from drivearea.dataset import DatasetIndex, parse_labels, write_normalized
 from drivearea.geometry import Box, RleMask, mask_to_bbox, rasterize_polygon, rle_decode
-from drivearea.metrics import Detection, MatchConfig, read_predictions
-from drivearea.synth import SynthParams, generate_suite, oracle_map
+from drivearea.metrics import Detection, MatchConfig, read_predictions, write_predictions
+from drivearea.synth import (SynthParams, corrupt_predictions, generate_scene, generate_suite,
+                             oracle_map)
 
 import test_dataset
 from conftest import RECT, bdd_entry, drivable_label
@@ -240,6 +244,33 @@ class TestPreprocess:
                                  f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
         assert os.listdir(out.parent) == ["norm.json"] * present  # no hidden entry left
         assert not present or out.read_bytes() == b"old!"
+
+    @pytest.mark.parametrize("spelling", ["fifo", "symlink"])
+    def test_non_regular_out_is_written_into(self, runner, tmp_path, spelling):
+        # A FIFO (or a device) is opened once the labels are accepted and written into; it is
+        # not replaced by a regular file, and no scratch entry is made beside it.
+        labels, norm = tmp_path / "gt.json", tmp_path / "norm.json"
+        invoke(runner, ["synth", "--n-images", "4", "--out-labels", str(labels),
+                        "--out-predictions", str(tmp_path / "p.jsonl")])
+        invoke(runner, ["preprocess", "--labels", str(labels), "--out", str(norm)])
+        out = fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        if spelling == "symlink":
+            out = tmp_path / "link"
+            out.symlink_to(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        result = invoke(runner, ["preprocess", "--labels", str(labels), "--out", str(out)])
+        reader.join(timeout=10)
+        if reader.is_alive() and stat.S_ISFIFO(fifo.lstat().st_mode):  # never opened: free it
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert result.exit_code == 0
+        assert got == [norm.read_bytes()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode) and out.is_symlink() == (spelling == "symlink")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["fifo", "gt.json", "norm.json", "p.jsonl"] + ["link"] * (spelling == "symlink"))
 
 
 # 131 bytes: a thin triangle across a frame 2**31 - 1 rows high, about 2**32
@@ -606,6 +637,61 @@ class TestSynth:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: --out-predictions {out} is the same file as")
         assert not out.exists()
+
+    @pytest.mark.parametrize("present", [False, True], ids=["absent", "present"])
+    def test_suite_refused_mid_draw_writes_nothing(self, runner, tmp_path, present):
+        # Frame 0 draws; a later frame's jitter overflows to inf and its polygon is refused.
+        params = SynthParams(seed=1, n_images=20, jitter=1e308, drop_rate=0.9)
+        corrupt_predictions(generate_scene(params, 0), params)
+        labels, preds = tmp_path / "gt.json", tmp_path / "p.jsonl"
+        if present:
+            labels.write_bytes(b"old labels")
+        result = invoke(runner, ["synth", "--seed", "1", "--n-images", "20", "--jitter", "1e308",
+                                 "--drop-rate", "0.9", "--out-labels", str(labels),
+                                 "--out-predictions", str(preds)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: expected a finite number, got inf\n"
+        assert tree(tmp_path) == ({"gt.json": b"old labels"} if present else {})
+
+    def test_peak_memory_does_not_follow_the_detection_count(self, runner, tmp_path):
+        params = SynthParams(n_images=10, fp_rate=200)
+
+        def suite_detections():  # the memory that the whole suite's detection list takes
+            dets = generate_suite(params)[1]
+            return tracemalloc.get_traced_memory()[0], len(dets)
+
+        (held, n_dets), _ = traced_peak(suite_detections)
+        result, peak = traced_peak(lambda: invoke(runner, [
+            "synth", "--n-images", "10", "--fp-rate", "200",
+            "--out-labels", str(tmp_path / "gt.json"), "--out-predictions", str(tmp_path / "p.jsonl")]))
+        assert result.stderr == f"images=10 detections={n_dets}\n"
+        # Holding the whole list, as generate_suite does, reaches about `held`; one frame's
+        # share of it is a tenth, and drawing a frame at a time peaks at about a quarter.
+        assert peak < held / 2
+
+    @pytest.mark.parametrize("changes, fields", [
+        ({}, {}),
+        ({"--n-images": "0"}, {"n_images": 0}),
+        ({"--lanes": "2:2", "--drop-rate": "1"}, {"lanes_per_image": (2, 2), "drop_rate": 1.0}),
+    ], ids=["every-option", "no-images", "two-lanes-all-dropped"])
+    def test_bytes_match_the_library_suite(self, runner, tmp_path, changes, fields):
+        # Every option is away from its default, so a setting passed on under a wrong name shows.
+        options = {"--seed": "13", "--n-images": "7", "--image-size": "160x90", "--lanes": "2:4",
+                   "--jitter": "1.25", "--drop-rate": "0.3", "--fp-rate": "1.5",
+                   "--score-noise": "0.2", **changes}
+        params = replace(SynthParams(seed=13, n_images=7, image_size=(160, 90),
+                                     lanes_per_image=(2, 4), jitter=1.25, drop_rate=0.3,
+                                     fp_rate=1.5, score_noise=0.2), **fields)
+        index, dets = generate_suite(params)
+        want_labels, want_preds = io.BytesIO(), io.StringIO()
+        write_normalized(index, want_labels)
+        write_predictions(dets, want_preds)
+        labels, preds = tmp_path / "gt.json", tmp_path / "p.jsonl"
+        result = invoke(runner, ["synth", *(word for item in options.items() for word in item),
+                                 "--out-labels", str(labels), "--out-predictions", str(preds)])
+        assert result.stderr == f"images={len(index)} detections={len(dets)}\n"
+        assert labels.read_bytes() == want_labels.getvalue()
+        assert preds.read_bytes() == want_preds.getvalue().encode("utf-8")
 
 
 class TestEval:
