@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Sequence
+from typing import Any, BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -187,6 +187,34 @@ def _next(verts: np.ndarray) -> np.ndarray:
     return np.concatenate((verts[1:], verts[:1]))
 
 
+def _edge_rows(y1: np.ndarray, y2: np.ndarray, height) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's first row and row count: the rows whose center cy has
+    min(y1, y2) <= cy < max(y1, y2), the half-open test of rasterize_polygon."""
+    lo = _centers_below(np.minimum(y1, y2), height)
+    return lo, _centers_below(np.maximum(y1, y2), height) - lo
+
+
+def _refuse_crossings(total: np.ndarray, first: int = 0) -> None:
+    """Refuse the first polygon whose (edge, row) crossings, ``total``, are over the
+    budget; the refusal's ``polygon`` is its index, counted from ``first``."""
+    if (over := np.flatnonzero(total > _MAX_CROSSINGS)).size:
+        exc = DimensionMismatch(f"polygon crosses {total[over[0]]} (edge, row) pairs, "
+                                f"over the limit of {_MAX_CROSSINGS}")
+        exc.polygon = first + int(over[0])
+        raise exc
+
+
+def _crossings(x1, y1, x2, y2, lo, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge, row and crossing x of every (edge, row) pair, edge by edge, of edges
+    (x1, y1)-(x2, y2) from any number of polygons: edge k crosses counts[k] rows from lo[k]."""
+    edge = np.repeat(np.arange(len(lo)), counts)
+    row = np.arange(edge.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    cy = row + 0.5
+    x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return edge, row, x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
+
+
 def rasterize_polygon(poly, width: int, height: int) -> RleMask:
     """Rasterize a polygon into a width x height mask.
 
@@ -216,28 +244,65 @@ def rasterize_polygon(poly, width: int, height: int) -> RleMask:
         raise ValueError(f"grid must be positive, got {width}x{height}")
     verts = _as_vertices(poly)
     (x1, y1), (x2, y2) = verts.T, _next(verts).T
-    # Edge k is active on counts[k] rows from lo[k]: the rows whose center cy has
-    # min(y1, y2) <= cy < max(y1, y2), the same half-open test as above.
-    lo = _centers_below(np.minimum(y1, y2), height)
-    counts = _centers_below(np.maximum(y1, y2), height) - lo
-    if (crossings := int(counts.sum())) > _MAX_CROSSINGS:
-        raise DimensionMismatch(
-            f"polygon crosses {crossings} (edge, row) pairs, over the limit of {_MAX_CROSSINGS}"
-        )
-    edge = np.repeat(np.arange(len(verts)), counts)
-    row = np.arange(edge.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    cy = row + 0.5
-    x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
-    with np.errstate(over="ignore", invalid="ignore"):
-        xint = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
-    # A crossing toggles the pixels whose center is strictly left of it, so
-    # its column is the count of such centers.
-    col = _centers_below(xint, width)
+    lo, counts = _edge_rows(y1, y2, height)
+    if counts.sum() > _MAX_CROSSINGS:
+        _refuse_crossings(counts.sum(keepdims=True))
+    _, row, x = _crossings(x1, y1, x2, y2, lo, counts)
+    # A crossing toggles the pixels whose center is strictly left of it, so its
+    # column is the count of such centers. Every row has an even number of
+    # crossings, so each crossing flips the pixels from its flat offset on; a
+    # column of `width` flips from the start of the next row, where its span ends.
+    return _from_toggles(width, height, row * width + _centers_below(x, width))
 
-    # Every row has an even number of crossings, so each crossing flips the
-    # pixels from its flat offset on; a column of `width` flips from the
-    # start of the next row, where its span ends.
-    return _from_toggles(width, height, row * width + col)
+
+def _batches(cost: np.ndarray, cap: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [a, b) that cover the items, each of one item or of
+    items whose costs sum to at most ``cap``."""
+    done = np.cumsum(cost)
+    a = 0
+    while a < len(cost):
+        b = max(a + 1, int(np.searchsorted(done, done[a] - cost[a] + cap, side="right")))
+        yield a, b
+        a = b
+
+
+def _raster_boxes(polys: Sequence, width: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """Rows x, y, w, h of ``mask_to_bbox(rasterize_polygon(polys[k], width[k], height[k]))``,
+    NaN for an empty mask, with no mask built: whole polygons go through the crossing
+    kernel about 2**12 edges, then 2**12 crossings, at a time, and each row's sorted
+    crossings, paired, are its spans. A polygon over the crossing budget is refused as
+    rasterize_polygon refuses it, before any crossing; the refusal's ``polygon`` is its index."""
+    verts = [_as_vertices(p) for p in polys]
+    size = np.array([len(v) for v in verts], dtype=np.int64)
+    boxes = np.full((len(polys), 4), np.nan)
+    for p0, p1 in _batches(size, 2**12):
+        ends = np.cumsum(size[p0:p1])
+        nxt = np.arange(1, ends[-1] + 1)
+        nxt[ends - 1] = first = ends - size[p0:p1]  # a last edge closes on the first vertex
+        (x1, y1), (x2, y2) = (packed := np.concatenate(verts[p0:p1])).T, packed[nxt].T
+        owner, w = np.repeat(np.arange(p1 - p0), size[p0:p1]), width[p0:p1]
+        lo, counts = _edge_rows(y1, y2, height[p0:p1][owner])
+        _refuse_crossings(total := np.add.reduceat(counts, first), p0)
+        # Polygon k crosses every row from top[k] to its last: row r is line r + line[k], and
+        # a batch's lines, at most half its crossings, and columns fit 62 bits.
+        top = np.minimum.reduceat(lo, first)
+        line = np.cumsum(span := np.maximum.reduceat(lo + counts, first) - top) - span - top
+        for a, b in _batches(total, 2**12):
+            e, base = slice(first[a], ends[b - 1]), line[a] + top[a]
+            edge, row, x = _crossings(x1[e], y1[e], x2[e], y2[e], lo[e], counts[e])
+            k = owner[e][edge]
+            key = np.sort((row + line[k] - base) << 31 | _centers_below(x, w[k]))
+            left, right = key[0::2], key[1::2]  # each row's crossings in order, paired
+            left, right = left[left != right], right[left != right]
+            if left.size:
+                k = a + np.searchsorted(line[a:b] + top[a:b] - base, left >> 31, "right") - 1
+                row = (left >> 31) + base - line[k]
+                group = np.flatnonzero(np.diff(k, prepend=-1))
+                x0 = np.minimum.reduceat(left & (2**31 - 1), group)
+                x_end = np.maximum.reduceat(right & (2**31 - 1), group)
+                y0, y_end = row[group], row[np.append(group[1:], k.size) - 1] + 1
+                boxes[p0 + k[group]] = np.column_stack((x0, y0, x_end - x0, y_end - y0))
+    return boxes
 
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
@@ -282,15 +347,14 @@ def _union_edges(masks: Sequence[RleMask]) -> tuple[np.ndarray, np.ndarray]:
 
 def box_iou(a: Box, b: Box) -> float:
     """Continuous-area intersection over union; 0 when the union has no area."""
-    pair = np.array([[a.x, a.y, a.w, a.h], [b.x, b.y, b.w, b.h]])
-    return float(_box_iou_matrix(pair[:1], pair[1:])[0, 0])
+    return float(_box_iou(np.array([a.x, a.y, a.w, a.h]), np.array([b.x, b.y, b.w, b.h])))
 
 
-def _box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`box_iou` of every row of ``a`` with every row of ``b``, both
-    (n, 4) arrays of x, y, w, h. A row of NaN scores NaN, below any threshold."""
-    ax, ay, aw, ah = (c[:, None] for c in a.T)
-    bx, by, bw, bh = b.T
+def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`box_iou` of ``a`` and ``b``, arrays of rows x, y, w, h broadcast
+    together. A row of NaN scores NaN, below any threshold."""
+    ax, ay, aw, ah = np.moveaxis(a, -1, 0)
+    bx, by, bw, bh = np.moveaxis(b, -1, 0)
     with np.errstate(all="ignore"):  # inf and NaN from huge boxes compare as floats do
         iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
         ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)

@@ -1,9 +1,13 @@
 """Detection matching, precision-recall curves, interpolated AP, and reports.
 
 Evaluation runs on columns (image, class, score, box, mask), built from
-:class:`Detection` objects or read straight from a prediction file. Each
-image's IoU matrix is computed once, and every stratum ranks its detections
-by filtering one stable sort by score.
+:class:`Detection` objects or read straight from a prediction file, in one
+pass over the split. A candidate table holds every (detection, ground truth)
+pair of one image and one class with its IoU, built whole images at a time:
+box IoU from each ground truth's tight raster box, computed for a batch of
+polygons at once, or mask IoU per pair. The pairs at the threshold are walked
+once, in (detection rank, falling IoU, ground-truth index) order, and every
+stratum ranks its detections by filtering one stable sort by score.
 
 AP uses all-point interpolation: every precision value is replaced by the
 maximum precision at any equal-or-higher recall, and the resulting step
@@ -29,8 +33,8 @@ from .dataset import CLASS_NAMES, CONDITION_AXES, DatasetIndex, ImageRecord
 from .dataset import _DECODER, _class_id, _image_id, _read, _refusal
 from .errors import DimensionMismatch, GeometryMismatch, InvalidRle, MalformedInput
 from .errors import NoGroundTruth, SchemaViolation
-from .geometry import Box, RleMask, _box_iou_matrix, _box_values, _number, mask_iou, mask_to_bbox
-from .geometry import rasterize_polygon
+from .geometry import Box, RleMask, _batches, _box_iou, _box_values, _number, _raster_boxes
+from .geometry import mask_iou, mask_to_bbox, rasterize_polygon
 
 __all__ = [
     "Detection",
@@ -85,8 +89,10 @@ class MatchConfig:
     iou_kind: str = "box"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.iou_threshold <= 1.0):
+        threshold = _number(self.iou_threshold)
+        if not 0.0 < threshold <= 1.0:
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
+        object.__setattr__(self, "iou_threshold", threshold)
         if self.iou_kind not in ("box", "mask"):
             raise ValueError(f"iou_kind must be 'box' or 'mask', got {self.iou_kind!r}")
 
@@ -135,47 +141,82 @@ def _row(det: Detection) -> tuple:
     return det.image_id, det.class_id, det.score, _xywh(box), mask
 
 
-def _match(
-    record: ImageRecord, cols: _Columns, ranked: np.ndarray, cfg: MatchConfig
-) -> tuple[np.ndarray, list[bool]]:
-    """TP flags of one image's detections (rows ``ranked``, in rank order)
-    and the ground truths matched, by the rule of :func:`match_detections`
-    on an IoU matrix computed once."""
-    for i in np.sort(ranked).tolist():  # the first bad detection in input order
-        if (m := cols.mask[i]) is not None and (m.width, m.height) != (record.width, record.height):
+def _tp_flags(
+    records: Sequence[ImageRecord], cols: _Columns, row: np.ndarray, ranked: np.ndarray,
+    cfg: MatchConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """TP flags of the detections (``row``: each one's record or -1, ``ranked``: their
+    ranking), and matched flags of the ground truths of the records with detections.
+    The (detection, ground truth) pairs of one image and class at the threshold are
+    walked once by rank, falling IoU and ground-truth index, each detection taking
+    its first free ground truth: the greedy rule of :func:`match_detections`."""
+    live, has_mask = row >= 0, np.isnan(cols.box[:, 0])
+    masked = np.flatnonzero(live & has_mask)
+    dims = np.array([(r.width, r.height) for r in records], dtype=np.int64).reshape(-1, 2)
+    bad = np.zeros(len(row), dtype=bool)  # refused: a mask of another size, a box for mask IoU
+    sizes = np.array([(cols.mask[i].width, cols.mask[i].height) for i in masked.tolist()])
+    bad[masked] = (sizes.reshape(-1, 2) != dims[row[masked]]).any(axis=1)
+    if cfg.iou_kind == "mask":
+        bad |= live & ~has_mask
+    stop = int(row[bad].min()) if bad.any() else len(records)  # the first record refused
+    # Ground truth counts only in records with detections, up to the refused one.
+    det = np.flatnonzero(live & (row < stop))
+    det = det[np.argsort(row[det], kind="stable")]  # by record, then in input order
+    det_first = np.searchsorted(row[det], np.arange(len(records) + 1))
+    rows = np.flatnonzero(np.diff(det_first))
+    polys = [p for r in rows.tolist() for p in records[r].labels]
+    gt_row = np.repeat(rows, [len(records[r].labels) for r in rows.tolist()])
+    gt_class = np.array([p.class_id for p in polys], dtype=np.int64)
+    first = np.searchsorted(gt_row, np.arange(len(records) + 1))  # each record's first truth
+    if cfg.iou_kind == "box":  # masks count by their tight boxes; an empty mask has none (NaN)
+        box = cols.box.copy() if masked.size else cols.box
+        for i in masked.tolist():
+            box[i] = _xywh(mask_to_bbox(cols.mask[i]))
+    # Whole records at a time: up to 2**12 detections, or for mask IoU one record,
+    # whose ground-truth masks are held only meanwhile.
+    hits = [(det[:0], det[:0], np.empty(0))]  # the pairs at the threshold
+    for r0, r1 in _batches(np.diff(det_first), 2**12 if cfg.iou_kind == "box" else 1):
+        g0, g1, chunk = first[r0], first[r1], det[det_first[r0]:det_first[r1]]
+        gt: list | np.ndarray = []  # the ground truths' masks, or their boxes
+        try:
+            if cfg.iou_kind == "mask":
+                for p, (w, h) in zip(polys[g0:g1], dims[gt_row[g0:g1]].tolist()):
+                    gt.append(rasterize_polygon(p, w, h))
+            else:
+                gt = _raster_boxes(polys[g0:g1], *dims[gt_row[g0:g1]].T)
+        except DimensionMismatch as exc:  # name the image of the polygon refused
+            refused = g0 + (len(gt) if cfg.iou_kind == "mask" else exc.polygon)
+            raise DimensionMismatch(f"image {records[gt_row[refused]].image_id!r}: {exc}") from exc
+        n = first[row[chunk] + 1] - first[row[chunk]]
+        pair_det = np.repeat(chunk, n)
+        pair_gt = np.arange(pair_det.size) + np.repeat(first[row[chunk]] - (np.cumsum(n) - n), n)
+        same = cols.class_id[pair_det] == gt_class[pair_gt]
+        pair_det, pair_gt = pair_det[same], pair_gt[same]
+        if cfg.iou_kind == "mask":
+            iou = np.array([mask_iou(cols.mask[a], gt[g - g0]) for a, g in
+                            zip(pair_det.tolist(), pair_gt.tolist())], dtype=np.float64)
+        else:
+            iou = _box_iou(box[pair_det], gt[pair_gt - g0])
+        hit = iou >= cfg.iou_threshold
+        hits.append((pair_det[hit], pair_gt[hit], iou[hit]))
+    if stop < len(records):  # the first bad detection of that record in input order
+        i, record = int(np.flatnonzero(bad & (row == stop))[0]), records[stop]
+        if (m := cols.mask[i]) is not None:
             raise GeometryMismatch(
                 f"detection mask {m.width}x{m.height} does not match "
                 f"image {record.image_id} ({record.width}x{record.height})"
             )
-        if m is None and cfg.iou_kind == "mask":
-            raise GeometryMismatch(
-                f"iou_kind 'mask' needs mask geometry, detection on {record.image_id} has only a box"
-            )
-    masks = [cols.mask[i] for i in ranked.tolist()]
-    try:
-        gt_masks = [rasterize_polygon(p, record.width, record.height) for p in record.labels]
-    except DimensionMismatch as exc:
-        raise DimensionMismatch(f"image {record.image_id!r}: {exc}") from exc
-    gt_class = np.array([label.class_id for label in record.labels], dtype=np.int64)
-    same_class = cols.class_id[ranked][:, None] == gt_class
-    if cfg.iou_kind == "mask":
-        iou = np.zeros(same_class.shape)
-        for a, g in zip(*np.nonzero(same_class)):
-            iou[a, g] = mask_iou(masks[a], gt_masks[g])
-    else:  # masks count by their tight boxes; an empty mask has none (NaN)
-        det_box = cols.box[ranked]
-        for a, m in enumerate(masks):
-            if m is not None:
-                det_box[a] = _xywh(mask_to_bbox(m))
-        gt_box = np.array([_xywh(mask_to_bbox(m)) for m in gt_masks]).reshape(-1, 4)
-        iou = _box_iou_matrix(det_box, gt_box)
-    options: list[list[int]] = [[] for _ in masks]  # only an IoU at the threshold can match
-    for a, g in zip(*np.nonzero(same_class & (iou >= cfg.iou_threshold))):
-        options[a].append(int(g))
-    is_tp, gt_matched = np.zeros(len(masks), dtype=bool), [False] * len(gt_masks)
-    for a, row in enumerate(iou.tolist()):
-        if free := [g for g in options[a] if not gt_matched[g]]:
-            is_tp[a] = gt_matched[max(free, key=row.__getitem__)] = True  # ties: lower index
+        raise GeometryMismatch(
+            f"iou_kind 'mask' needs mask geometry, detection on {record.image_id} has only a box"
+        )
+    pair_det, pair_gt, iou = (np.concatenate(column) for column in zip(*hits))
+    rank = np.empty(len(row), dtype=np.int64)
+    rank[ranked] = np.arange(len(row))
+    order = np.lexsort((pair_gt, -iou, rank[pair_det]))
+    is_tp, gt_matched = np.zeros(len(row), dtype=bool), np.zeros(len(polys), dtype=bool)
+    for a, g in zip(pair_det[order].tolist(), pair_gt[order].tolist()):
+        if not (is_tp[a] or gt_matched[g]):
+            is_tp[a] = gt_matched[g] = True
     return is_tp, gt_matched
 
 
@@ -190,8 +231,8 @@ def match_detections(
     otherwise it is a false positive. Each ground truth matches at most once.
 
     For ``iou_kind == "box"``, mask detections are converted through their
-    tight bounding box, and ground-truth polygons through the bounding box
-    of their rasterized mask, so both kinds are derived from the same runs.
+    tight bounding box, and ground-truth polygons through the tight box of
+    their raster, so both kinds are boxes of pixels.
     """
     for det in dets:
         if det.image_id != record.image_id:
@@ -200,9 +241,9 @@ def match_detections(
             )
     cols = _columns(map(_row, dets))
     ranked = np.argsort(-cols.score, kind="stable")
-    det_is_tp = np.zeros(len(ranked), dtype=bool)
-    det_is_tp[ranked], gt_matched = _match(record, cols, ranked, cfg)
-    return MatchResult(det_is_tp=tuple(det_is_tp.tolist()), gt_matched=tuple(gt_matched))
+    is_tp, gt_matched = _tp_flags((record,), cols, np.zeros(len(dets), dtype=np.int64), ranked, cfg)
+    gt_matched = gt_matched.tolist() if dets else [False] * len(record.labels)
+    return MatchResult(det_is_tp=tuple(is_tp.tolist()), gt_matched=tuple(gt_matched))
 
 
 @dataclass(frozen=True)
@@ -257,9 +298,15 @@ def average_precision(curve: PrCurve) -> float | None:
     """
     if curve.n_gt == 0:
         return None
-    tps = curve.tp_cumulative
-    rising = [(i, tp, tp - before)  # rank, TP, new true positives; Python ints of any size
-              for i, (before, tp) in enumerate(zip((0, *tps), tps), start=1) if tp > before]
+    try:
+        tp = np.fromiter(curve.tp_cumulative, dtype=np.int64, count=len(curve.tp_cumulative))
+    except OverflowError:  # counts beyond int64 stay Python ints
+        tp = np.array(curve.tp_cumulative, dtype=object)
+    if tp.dtype != object and tp.size and tp.min() < 0:  # a difference could overflow
+        tp = tp.astype(object)
+    gain = np.diff(tp, prepend=0)
+    up = np.flatnonzero(gain > 0)  # where TP rises: rank, TP and new true positives, as ints
+    rising = [*zip((up + 1).tolist(), tp[up].tolist(), gain[up].tolist())]
     total, step_tp, step_rank, step_gain = Fraction(0), 0, 1, 0
     for i, tp_i, gain_i in reversed(rising):
         if tp_i * step_rank > step_tp * i:
@@ -322,13 +369,7 @@ def evaluate(
     orphans = int(np.count_nonzero(row < 0))
 
     ranked = np.argsort(-cols.score, kind="stable")  # the one ranking: ties keep input order
-    by_image = ranked[np.argsort(row[ranked], kind="stable")]  # rank order within each image
-    starts = np.searchsorted(row, np.arange(len(records) + 1), sorter=by_image)
-    det_is_tp = np.zeros(len(row), dtype=bool)
-    for r, record in enumerate(records):
-        mine = by_image[starts[r]:starts[r + 1]]
-        if mine.size:
-            det_is_tp[mine] = _match(record, cols, mine, cfg)[0]
+    det_is_tp = _tp_flags(records, cols, row, ranked, cfg)[0]
 
     classes = sorted(CLASS_NAMES)
     gt_count = np.array([[sum(label.class_id == c for label in r.labels) for c in classes]
@@ -436,7 +477,9 @@ def read_predictions(source: Iterable[bytes | str]) -> Iterator[Detection]:
 
 def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
     """The row of each prediction line, decoded once and checked by the rules
-    the constructors use, without building a Detection; a bad line raises its error."""
+    the constructors use, without building a Detection; a bad line raises its error.
+    A plain box line (exact floats, an int class, an image id read before) is checked inline."""
+    seen: set[str] = set()  # the image ids _detection_fields has read
     for n, line in enumerate(_read("predictions", source), start=1):
         try:
             stripped = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
@@ -467,7 +510,11 @@ def _rows(source: Iterable[bytes | str]) -> Iterator[tuple]:
                 box, mask = _box_values(bbox), None
             else:
                 box, mask = _xywh(None), RleMask(rle["width"], rle["height"], rle["runs"])
-            fields = _detection_fields(obj["image_id"], obj["class_id"], obj["score"])
+            fields = image_id, class_id, score = obj["image_id"], obj["class_id"], obj["score"]
+            if not (type(image_id) is str and image_id in seen and type(class_id) is int
+                    and class_id in CLASS_NAMES and type(score) is float and 0.0 <= score <= 1.0):
+                fields = _detection_fields(image_id, class_id, score)
+                seen.add(fields[0])
         except (KeyError, TypeError, ValueError) as exc:
             raise _refusal(f"prediction line {n}", exc) from exc
         except InvalidRle as exc:

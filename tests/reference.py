@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from drivearea.geometry import _number
+from drivearea.geometry import Box, _number
 
 
 def point_in_polygon(px: float, py: float, vertices) -> bool:
@@ -172,6 +172,56 @@ def average_precision_reference(tp_cumulative, n_gt: int):
         if tp_cumulative[k - 1] > prev_tp:
             total += (tp_cumulative[k - 1] - prev_tp) * running
     return float(total / n_gt)
+
+
+def dense_bbox(bits: np.ndarray):
+    """(x, y, w, h) of the set pixels of a dense grid, found by scanning; None when empty."""
+    rows = [r for r in range(bits.shape[0]) if bits[r].any()]
+    cols = [c for c in range(bits.shape[1]) if bits[:, c].any()]
+    if not rows:
+        return None
+    return (float(cols[0]), float(rows[0]), float(cols[-1] - cols[0] + 1),
+            float(rows[-1] - rows[0] + 1))
+
+
+def greedy_matches(records, dets, iou_threshold: float, iou_kind: str):
+    """(TP flag of every detection in input order, matched flags of each record's
+    ground truths), by the greedy rule run image by
+    image: each image's detections by falling score (ties: input order) take the free
+    same-class ground truth of highest IoU at or above the threshold (ties: lower
+    index). Ground truth is rasterized by ``pixel_center_oracle``, masks are compared
+    as dense grids, and boxes by ``box_iou_reference``. A detection on an image not
+    in ``records`` is never a true positive."""
+    flags, matched = [False] * len(dets), []
+    for record in records:
+        truth = [pixel_center_oracle(label.vertices.tolist(), record.width, record.height)
+                 for label in record.labels]
+        mine = sorted((i for i, d in enumerate(dets) if d.image_id == record.image_id),
+                      key=lambda i: (-dets[i].score, i))
+        taken = [False] * len(truth)
+        matched.append(taken)
+        for i in mine:
+            geometry = dets[i].geometry
+            bits = None if isinstance(geometry, Box) else np.repeat(
+                np.arange(len(geometry.runs)) % 2 == 1, geometry.runs
+            ).reshape(geometry.height, geometry.width)
+            best, best_iou = -1, 0.0
+            for g, gt_bits in enumerate(truth):
+                if taken[g] or record.labels[g].class_id != dets[i].class_id:
+                    continue
+                if iou_kind == "mask":
+                    union = int((bits | gt_bits).sum())
+                    iou = int((bits & gt_bits).sum()) / union if union else 0.0
+                else:
+                    a = (geometry.x, geometry.y, geometry.w, geometry.h) if bits is None \
+                        else dense_bbox(bits)
+                    b = dense_bbox(gt_bits)
+                    iou = 0.0 if a is None or b is None else box_iou_reference(a, b)
+                if iou >= iou_threshold and (best < 0 or iou > best_iou):
+                    best, best_iou = g, iou
+            if best >= 0:
+                taken[best] = flags[i] = True
+    return flags, matched
 
 
 def pgm_reference(width: int, height: int, runs) -> bytes:

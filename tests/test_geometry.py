@@ -404,7 +404,7 @@ class TestBoxIou:
         boxes = huge + small
         rnd.shuffle(boxes)
         rows = boxes[: len(boxes) // 2 + 1]
-        got = geometry._box_iou_matrix(np.array(rows), np.array(boxes))
+        got = geometry._box_iou(np.array(rows)[:, None], np.array(boxes))
         for (i, a), (j, b) in itertools.product(enumerate(rows), enumerate(boxes)):
             want = box_iou_reference(a, b)
             assert got[i, j] == want or (math.isnan(got[i, j]) and math.isnan(want))
@@ -428,6 +428,75 @@ class TestMaskToBbox:
 
     def test_empty_mask(self):
         assert mask_to_bbox(rle_encode(np.zeros((4, 4), dtype=bool))) is None
+
+
+def boxes_one_by_one(polys, widths, heights) -> np.ndarray:
+    """mask_to_bbox(rasterize_polygon(...)) of each polygon as rows x, y, w, h, NaN when empty."""
+    boxes = [mask_to_bbox(rasterize_polygon(p, w, h)) for p, w, h in zip(polys, widths, heights)]
+    return np.array([(math.nan,) * 4 if b is None else (b.x, b.y, b.w, b.h) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def assert_batched_boxes(polys, widths, heights):
+    got = geometry._raster_boxes(polys, np.array(widths), np.array(heights))
+    np.testing.assert_array_equal(got, boxes_one_by_one(polys, widths, heights))
+    return got
+
+
+class TestRasterBoxes:
+    @given(st.lists(polygons_on_grids(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_box_of_each_raster(self, cases):
+        polys, widths, heights = zip(*cases)
+        assert_batched_boxes(list(polys), widths, heights)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_star_polygons_in_several_batches(self, seed):
+        # Tall frames give some 2**16 crossings in all, and one polygon of more
+        # than a batch's 2**15 goes through on its own.
+        rng = np.random.default_rng(300 + seed)
+        polys, widths, heights = [], [], []
+        for k in range(14):
+            h = 24000 if k == 5 else int(rng.integers(1, 3000))
+            w = int(rng.integers(1, 200))
+            cx, cy = rng.uniform(-20, w + 20), rng.uniform(-20, h + 20)
+            polys.append(star_polygon(rng, int(rng.integers(3, 30)), cx, cy, 0.2, max(w, h)))
+            widths.append(w)
+            heights.append(h)
+        polys[5] = [(0.0, -1.0), (3.0, 24001.0), (2.5, -0.5)]
+        got = assert_batched_boxes(polys, widths, heights)
+        assert np.isfinite(got[5]).all()
+
+    def test_edges_slivers_and_the_widest_frame(self):
+        edge = [(318.66, 259.5), (82.92, 621.0), (600.0, 621.0), (600.0, 259.5)]
+        wide = 2**31 - 1  # the largest image side: the sort key must not overflow int64
+        polys = [
+            edge, edge[::-1],
+            [(0.2, 0.2), (0.4, 0.2), (0.3, 0.8)],  # a sliver between pixel centers: empty
+            [(0.0, 0.5), (10.0, 0.5), (10.0, 0.5000001)],  # a sliver through a row of centers
+            [(-50.0, -50.0), (50.0, -50.0), (50.0, 50.0)],  # vertices outside the frame
+            [(-5.0, 3.0), (-1.0, 3.0), (-3.0, 9.0)],  # wholly left of the frame: empty
+            [(0.0, 0.2), (wide - 0.5, 0.6), (wide, 3.7), (5.0, 2.5)],
+            [(wide - 2.0, 0.0), (wide + 9.0, 0.0), (wide + 9.0, 4.0)],
+        ]
+        widths = [1280, 1280, 8, 12, 20, 20, wide, wide]
+        heights = [720, 720, 8, 4, 20, 20, 4, 4]
+        got = assert_batched_boxes(polys, widths, heights)
+        assert np.isnan(got[[2, 5]]).all() and np.isfinite(got[[0, 1, 3, 4, 6, 7]]).all()
+        assert got[7, 0] + got[7, 2] == wide
+
+    def test_no_polygons(self):
+        assert geometry._raster_boxes([], np.array([], dtype=np.int64),
+                                      np.array([], dtype=np.int64)).shape == (0, 4)
+
+    def test_crossing_budget_names_the_first_polygon_over_it(self):
+        rect = [(1, 2), (8, 2), (8, 7), (1, 7)]  # 10 crossings
+        small = [(1, 2), (8, 2), (8, 3)]  # 2 crossings
+        with mock.patch.object(geometry, "_MAX_CROSSINGS", 9), mock.patch.object(
+                geometry, "_crossings", side_effect=AssertionError("allocated before the check")):
+            with pytest.raises(DimensionMismatch, match="^polygon crosses 10 .* limit of 9$") as info:
+                geometry._raster_boxes([small, rect, small, rect], np.full(4, 10), np.full(4, 10))
+        assert info.value.polygon == 1
 
 
 class TestRle:

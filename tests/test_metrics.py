@@ -23,7 +23,8 @@ from drivearea.dataset import (
     PolygonLabel,
 )
 from drivearea.errors import (
-    DriveAreaError, GeometryMismatch, IoFailure, MalformedInput, NoGroundTruth, SchemaViolation,
+    DimensionMismatch, DriveAreaError, GeometryMismatch, IoFailure, MalformedInput, NoGroundTruth,
+    SchemaViolation,
 )
 from drivearea.geometry import Box, RleMask, mask_to_bbox, rasterize_polygon
 from drivearea.metrics import (
@@ -42,7 +43,7 @@ from drivearea.metrics import (
 )
 from drivearea.synth import SynthParams, generate_suite, oracle_map
 
-from reference import average_precision_reference
+from reference import average_precision_reference, greedy_matches
 
 
 def rect_poly(x, y, w, h):
@@ -150,6 +151,81 @@ class TestMatchDetections:
             MatchConfig(iou_threshold=0.0)
         with pytest.raises(ValueError):
             MatchConfig(iou_kind="pixel")
+
+    @pytest.mark.parametrize("threshold", [True, "0.5"])
+    def test_threshold_is_read_as_a_number(self, threshold):
+        with pytest.raises(TypeError, match=f"^expected a number, got {threshold!r}$"):
+            MatchConfig(iou_threshold=threshold)
+
+    def test_integral_threshold_reports_as_a_float(self):
+        index, dets = _suite_with_conditions()
+        one, one_float = (evaluate(index, dets, MatchConfig(iou_threshold=t)) for t in (1, 1.0))
+        assert one.config.iou_threshold == 1.0 and type(one.config.iou_threshold) is float
+        assert report_to_json(one).encode() == report_to_json(one_float).encode()
+        assert report_to_csv(one) == report_to_csv(one_float)
+
+
+# A lane across a frame 2**31 - 1 rows high: about 2**32 (edge, row) crossings,
+# over the budget of 2**20 that the rasterizer refuses before allocating any.
+TALL = 2**31 - 1
+
+
+def tall_record(image_id):
+    return ImageRecord(image_id, 4, TALL, labels=(
+        PolygonLabel(DIRECT, ((0.0, 0.0), (4.0, 0.0), (2.0, float(TALL)))),))
+
+
+class TestRefusalOrder:
+    """Which refusal a split with several faults reports: the first record in index
+    order that has one, a bad detection before its ground truth, and within it the
+    first bad detection in input order."""
+
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    def test_first_record_then_first_bad_detection(self, kind):
+        a, b = record_with_rects("a", [(0, 0, 10, 10)]), record_with_rects("b", [(0, 0, 10, 10)])
+        dets = [Detection("b", DIRECT, 0.9, RleMask(5, 5, (25,))),
+                Detection("a", DIRECT, 0.5, rasterize_polygon(a.labels[0], 64, 48)),
+                Detection("a", DIRECT, 0.1, RleMask(7, 7, (49,))),
+                Detection("a", DIRECT, 0.9, RleMask(6, 6, (36,)))]
+        with pytest.raises(GeometryMismatch, match=r"^detection mask 7x7 does not match image a "):
+            evaluate(DatasetIndex((a, b)), dets, MatchConfig(iou_kind=kind))
+
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    def test_bad_detection_before_its_ground_truth(self, kind):
+        dets = [Detection("t", DIRECT, 0.5, RleMask(4, 4, (16,)))]
+        with pytest.raises(GeometryMismatch, match="^detection mask 4x4 does not match image t "):
+            evaluate(DatasetIndex((tall_record("t"),)), dets, MatchConfig(iou_kind=kind))
+
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    def test_ground_truth_of_an_earlier_record_first(self, kind):
+        fine = RleMask(4, TALL, (4 * TALL,))
+        dets = [Detection("u", DIRECT, 0.5, RleMask(4, 4, (16,))), Detection("t", DIRECT, 0.5, fine)]
+        index = DatasetIndex((tall_record("t"), replace(tall_record("u"), labels=())))
+        with pytest.raises(DimensionMismatch, match=r"^image 't': polygon crosses 4294967294 "):
+            evaluate(index, dets, MatchConfig(iou_kind=kind))
+
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    def test_refused_polygon_names_its_own_image(self, kind):
+        # The later lane of the later image is over the budget, in a pass over both images.
+        a = record_with_rects("a", [(0, 0, 10, 10)], size=(4, TALL))
+        t = replace(tall_record("t"), labels=a.labels + tall_record("t").labels)
+        dets = [Detection(k, DIRECT, 0.5, RleMask(4, TALL, (4 * TALL,))) for k in "at"]
+        with pytest.raises(DimensionMismatch, match=r"^image 't': polygon crosses 4294967294 "):
+            evaluate(DatasetIndex((a, t)), dets, MatchConfig(iou_kind=kind))
+
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    def test_ground_truth_without_detections_is_not_refused(self, kind):
+        a = record_with_rects("a", [(0, 0, 10, 10)])
+        dets = [Detection("a", DIRECT, 0.5, rasterize_polygon(a.labels[0], 64, 48))]
+        report = evaluate(DatasetIndex((a, tall_record("t"))), dets, MatchConfig(iou_kind=kind))
+        assert (report.n_gt, report.per_class_ap[DIRECT]) == (2, 0.5)
+
+    def test_mask_iou_names_the_first_image_with_a_box(self):
+        index = DatasetIndex(tuple(record_with_rects(k, [(0, 0, 10, 10)]) for k in "abc"))
+        dets = [box_det("c", 0, 0, 10, 10, 0.9), box_det("b", 0, 0, 10, 10, 0.1)]
+        with pytest.raises(GeometryMismatch, match="^iou_kind 'mask' needs mask geometry, "
+                                                   "detection on b has only a box$"):
+            evaluate(index, dets, MatchConfig(iou_kind="mask"))
 
 
 class TestPrecisionRecall:
@@ -303,6 +379,106 @@ def _suite_with_conditions():
             mask = rasterize_polygon(label, rec.width, rec.height)
             dets.append(Detection(rec.image_id, label.class_id, 1.0, mask))
     return index, dets
+
+
+@st.composite
+def match_suites(draw):
+    """(records, detections, threshold, IoU kind) on frames of a few pixels.
+
+    Ground truths and boxes come from a small pool of rectangles per image, so
+    scores, IoUs and ground truths tie often; masks may be empty (no box), and
+    a detection may be an orphan. Mask IoU gets mask detections only.
+    """
+    kind = draw(st.sampled_from(["box", "mask"]))
+    threshold = draw(st.sampled_from([1.0, 0.5, 0.3, 1e-9, 5e-324]))
+    records, dets = [], []
+    for name in ("a", "b", "c")[:draw(st.integers(1, 3))]:
+        w, h = draw(st.integers(2, 12)), draw(st.integers(2, 10))
+        rect = st.tuples(st.integers(-1, w - 1), st.integers(-1, h - 1),
+                         st.integers(1, w), st.integers(1, h))
+        pool = draw(st.lists(rect, min_size=1, max_size=3))
+        truth = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([DIRECT, ALTERNATIVE])),
+                              max_size=3))
+        records.append(record_with_rects(name, [r for r, _ in truth], [c for _, c in truth], (w, h)))
+        for _ in range(draw(st.integers(0, 5))):
+            image_id = draw(st.sampled_from([name, name, name, "ghost"]))
+            r = draw(st.sampled_from(pool) | rect)
+            if kind == "mask" or draw(st.booleans()):
+                geometry = (RleMask(w, h, (w * h,)) if draw(st.integers(0, 4)) == 0
+                            else rasterize_polygon(rect_poly(*r), w, h))
+            else:
+                geometry = Box(*map(float, r))
+            dets.append(Detection(image_id, draw(st.sampled_from([DIRECT, ALTERNATIVE])),
+                                  draw(st.sampled_from([0.25, 0.5, 1.0])), geometry))
+    return tuple(records), dets, threshold, kind
+
+
+class TestSplitWideMatching:
+    @given(match_suites())
+    @settings(max_examples=300, deadline=None)
+    def test_tp_flags_equal_per_image_greedy(self, suite):
+        records, dets, threshold, kind = suite
+        index, cfg = DatasetIndex(records), MatchConfig(iou_threshold=threshold, iou_kind=kind)
+        want, want_matched = greedy_matches(index.records, dets, threshold, kind)
+        cols = metrics._columns(map(metrics._row, dets))
+        row_of = {r.image_id: k for k, r in enumerate(index.records)}
+        row = np.array([row_of.get(d.image_id, -1) for d in dets], dtype=np.int64)
+        ranked = np.argsort(-cols.score, kind="stable")
+        assert metrics._tp_flags(index.records, cols, row, ranked, cfg)[0].tolist() == want
+        for record, matched in zip(index.records, want_matched):  # the one-record case
+            mine = [k for k, d in enumerate(dets) if d.image_id == record.image_id]
+            result = match_detections([dets[k] for k in mine], record, cfg)
+            assert result == metrics.MatchResult(tuple(want[k] for k in mine), tuple(matched))
+        for strict in (False, True):
+            n_gt = {c: sum(p.class_id == c for r in records for p in r.labels) for c in (DIRECT, ALTERNATIVE)}
+            if not any(n_gt.values()):
+                with pytest.raises(NoGroundTruth):
+                    evaluate(index, dets, cfg, strict_orphans=strict)
+                continue
+            report = evaluate(index, dets, cfg, strict_orphans=strict)
+            for c, n in n_gt.items():
+                scored = sorted((-d.score, k) for k, d in enumerate(dets) if d.class_id == c
+                                and (strict or d.image_id in row_of))
+                tp_cumulative = list(itertools.accumulate(want[k] for _, k in scored))
+                want_ap = average_precision_reference(tp_cumulative, n)
+                assert report.per_class_ap[c] == want_ap
+
+    @pytest.mark.parametrize("kind", ["box", "mask"])
+    def test_chunks_of_whole_images_give_the_same_flags(self, kind):
+        # More detections than one chunk of 2**12 holds; box IoU gets boxes and masks.
+        params = SynthParams(seed=5, n_images=240, image_size=(40, 24), jitter=1.5, fp_rate=16,
+                             score_noise=0.1)
+        index, dets = generate_suite(params)
+        if kind == "box":
+            dets = [replace(d, geometry=mask_to_bbox(d.geometry) or Box(0, 0, 0, 0)) if k % 2 else d
+                    for k, d in enumerate(dets)]
+        assert len(dets) > 2**12
+        cols = metrics._columns(map(metrics._row, dets))
+        row_of = {r.image_id: k for k, r in enumerate(index.records)}
+        row = np.array([row_of[d.image_id] for d in dets], dtype=np.int64)
+        got = metrics._tp_flags(index.records, cols, row, np.argsort(-cols.score, kind="stable"),
+                                MatchConfig(iou_kind=kind))[0]
+        assert got.tolist() == greedy_matches(index.records, dets, 0.5, kind)[0]
+
+    def test_evaluate_memory_does_not_follow_the_crossings(self):
+        # Each tall lane crosses 2 * 4096 rows; box IoU needs only its box, so the
+        # crossings are held a batch at a time, not all at once.
+        def peak_beyond_report(n_records):
+            records = tuple(ImageRecord(f"r{k:03d}", 64, 4096, labels=(
+                PolygonLabel(DIRECT, ((1.0, 0.0), (60.0, 0.0), (30.0, 4096.0))),))
+                for k in range(n_records))
+            dets = [box_det(r.image_id, 1, 0, 59, 4096, 0.5) for r in records]
+            index = DatasetIndex(records)
+            tracemalloc.start()
+            try:
+                report = evaluate(index, dets, MatchConfig())
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.map == 1.0
+            return peak - kept
+
+        assert peak_beyond_report(64) <= peak_beyond_report(16) + 256 * 1024
 
 
 class TestEvaluate:
